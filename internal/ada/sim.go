@@ -3,10 +3,9 @@ package ada
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -48,94 +47,12 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // yield returns false the exploration stops early with truncated ==
 // false and a nil error.
 func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 10000
-	}
-	seen := make(map[string]bool)
-	emitted := 0
-	truncated := false
-	stopped := false
-	var exploreErr error
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	var dfs func(m *machine)
-	dfs = func(m *machine) {
-		if truncated || stopped || exploreErr != nil {
-			return
-		}
-		select {
-		case <-done:
-			exploreErr = opts.Ctx.Err()
-			return
-		default:
-		}
-		if m.steps > opts.MaxSteps {
-			exploreErr = fmt.Errorf("ada: run exceeded %d steps", opts.MaxSteps)
-			return
-		}
-		for {
-			if m.steps > opts.MaxSteps {
-				exploreErr = fmt.Errorf("ada: run exceeded %d steps", opts.MaxSteps)
-				return
-			}
-			eager, _ := m.transitions()
-			if eager == nil {
-				break
-			}
-			if err := m.apply(*eager); err != nil {
-				exploreErr = err
-				return
-			}
-		}
-		_, ts := m.transitions()
-		if len(ts) == 0 {
-			key := m.canonicalKey()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := m.finish()
-			if err != nil {
-				exploreErr = err
-				return
-			}
-			emitted++
-			if !yield(run) {
-				stopped = true
-				return
-			}
-			if emitted >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := m.clone()
-			if err := next.apply(t); err != nil {
-				exploreErr = err
-				return
-			}
-			dfs(next)
-			if truncated || stopped || exploreErr != nil {
-				return
-			}
-		}
-	}
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	dfs(m)
-	if exploreErr != nil {
-		return false, exploreErr
-	}
-	return truncated, nil
+	return explore.Walk[*machine, transition](m,
+		explore.Options{Name: "ada", MaxRuns: opts.MaxRuns, MaxSteps: opts.MaxSteps, Ctx: opts.Ctx}, finish, yield)
 }
 
 type frame struct {
@@ -162,7 +79,6 @@ type taskState struct {
 	frames  []frame
 	rendezv []rendezvous
 	blocked bool // waiting for a rendezvous to complete (caller side)
-	lastEv  int
 }
 
 type caller struct {
@@ -172,12 +88,6 @@ type caller struct {
 	callEv int
 }
 
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
-}
-
 type machine struct {
 	prog   *Program
 	tasks  []taskState
@@ -185,9 +95,7 @@ type machine struct {
 	// queues[task][entry] = FIFO of callers
 	queues []map[string][]caller
 
-	events []evRec
-	edges  [][2]int
-	steps  int
+	trace explore.Trace
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
@@ -198,6 +106,7 @@ func newMachine(p *Program) (*machine, error) {
 		prog:   p,
 		tasks:  make([]taskState, len(p.Tasks)),
 		byName: make(map[string]int, len(p.Tasks)),
+		trace:  explore.NewTrace(len(p.Tasks)),
 		queues: make([]map[string][]caller, len(p.Tasks)),
 		ext:    make(map[string]int64),
 	}
@@ -215,7 +124,6 @@ func newMachine(p *Program) (*machine, error) {
 		m.tasks[i] = taskState{
 			vars:   vars,
 			frames: []frame{{block: t.Body}},
-			lastEv: -1,
 		}
 		m.queues[i] = make(map[string][]caller)
 		if err := m.validate(t.Name, t.Body); err != nil {
@@ -270,15 +178,15 @@ func hasEntry(t Task, entry string) bool {
 	return false
 }
 
-func (m *machine) clone() *machine {
+func (m *machine) Trace() *explore.Trace { return &m.trace }
+
+func (m *machine) Clone() *machine {
 	next := &machine{
 		prog:   m.prog,
 		tasks:  make([]taskState, len(m.tasks)),
 		byName: m.byName,
 		queues: make([]map[string][]caller, len(m.queues)),
-		events: append([]evRec(nil), m.events...),
-		edges:  append([][2]int(nil), m.edges...),
-		steps:  m.steps,
+		trace:  m.trace.Clone(),
 		ext:    make(map[string]int64, len(m.ext)),
 	}
 	for k, v := range m.ext {
@@ -290,7 +198,6 @@ func (m *machine) clone() *machine {
 			frames:  make([]frame, len(t.frames)),
 			rendezv: append([]rendezvous(nil), t.rendezv...),
 			blocked: t.blocked,
-			lastEv:  t.lastEv,
 		}
 		for k, v := range t.vars {
 			cp.vars[k] = v
@@ -312,23 +219,6 @@ func (m *machine) clone() *machine {
 		next.queues[i] = nq
 	}
 	return next
-}
-
-func (m *machine) emit(task int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(m.events)
-	m.events = append(m.events, evRec{elem: elem, class: class, params: params})
-	if task >= 0 && m.tasks[task].lastEv >= 0 {
-		m.edges = append(m.edges, [2]int{m.tasks[task].lastEv, idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			m.edges = append(m.edges, [2]int{e, idx})
-		}
-	}
-	if task >= 0 {
-		m.tasks[task].lastEv = idx
-	}
-	return idx
 }
 
 func (m *machine) currentStmt(task int) (Stmt, bool) {
@@ -354,14 +244,14 @@ type transition struct {
 	accept Accept
 }
 
-// transitions partitions schedulable steps for partial-order reduction.
+// Transitions partitions schedulable steps for partial-order reduction.
 // Task-internal steps (assignments to own variables, local ops, replies,
 // loop unrolling, rendezvous completion) commute with every other enabled
 // transition, so one may run eagerly without branching. Entry calls and
 // accepts branch: ADA entry queues are FIFO, so call arrival order is
 // semantically significant, as are accept/select choices and operations
 // at shared external elements.
-func (m *machine) transitions() (eager *transition, branches []transition) {
+func (m *machine) Transitions() (eager *transition, branches []transition) {
 	var ts []transition
 	for i := range m.tasks {
 		t := &m.tasks[i]
@@ -406,8 +296,7 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 	return nil, ts
 }
 
-func (m *machine) apply(t transition) error {
-	m.steps++
+func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "accept", "selectaccept":
 		return m.beginRendezvous(t.task, t.accept)
@@ -435,7 +324,7 @@ func (m *machine) beginRendezvous(task int, acc Accept) error {
 	if cl.hasArg {
 		params["v"] = core.Int(cl.arg)
 	}
-	m.emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", params, cl.callEv)
+	m.trace.Emit(task, EntryElement(m.prog.Tasks[task].Name, acc.Entry), "AcceptStart", params, cl.callEv)
 	t.rendezv = append(t.rendezv, rendezvous{caller: cl.task, entry: acc.Entry})
 	if acc.Param != "" {
 		if t.args == nil {
@@ -457,7 +346,7 @@ func (m *machine) step(task int) error {
 	switch s := st.(type) {
 	case Assign:
 		t.vars[s.Var] = s.E.eval(env)
-		m.emit(task, VarElement(taskName, s.Var), "Assign",
+		m.trace.Emit(task, VarElement(taskName, s.Var), "Assign",
 			core.Params{"newval": core.Int(t.vars[s.Var])})
 	case Op:
 		params := make(core.Params, len(s.Params)+2)
@@ -477,7 +366,7 @@ func (m *machine) step(task int) error {
 				params["oldval"] = core.Int(m.ext[s.Element])
 			}
 		}
-		m.emit(task, elem, s.Class, params)
+		m.trace.Emit(task, elem, s.Class, params)
 	case Reply:
 		if len(t.rendezv) == 0 {
 			return fmt.Errorf("ada: Reply outside a rendezvous in task %s", taskName)
@@ -494,7 +383,7 @@ func (m *machine) step(task int) error {
 			cl.hasArg = true
 			params["v"] = core.Int(cl.arg)
 		}
-		cl.callEv = m.emit(task, taskName, "Call", params)
+		cl.callEv = m.trace.Emit(task, taskName, "Call", params)
 		m.queues[callee][s.Entry] = append(m.queues[callee][s.Entry], cl)
 		t.blocked = true
 	case Repeat:
@@ -508,12 +397,12 @@ func (m *machine) step(task int) error {
 		if r.hasResult {
 			endParams["result"] = core.Int(r.result)
 		}
-		end := m.emit(task, EntryElement(taskName, r.entry), "AcceptEnd", endParams)
+		end := m.trace.Emit(task, EntryElement(taskName, r.entry), "AcceptEnd", endParams)
 		retParams := core.Params{"entry": core.Str(r.entry)}
 		if r.hasResult {
 			retParams["result"] = core.Int(r.result)
 		}
-		m.emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", retParams, end)
+		m.trace.Emit(r.caller, m.prog.Tasks[r.caller].Name, "Return", retParams, end)
 		m.tasks[r.caller].blocked = false
 		if len(t.rendezv) == 0 {
 			t.args = nil
@@ -524,7 +413,8 @@ func (m *machine) step(task int) error {
 	return nil
 }
 
-func (m *machine) finish() (Run, error) {
+// finish builds the Run for a terminal state.
+func finish(m *machine, comp *core.Computation) Run {
 	deadlock := false
 	finals := make(map[string]map[string]int64, len(m.tasks))
 	for i := range m.tasks {
@@ -538,43 +428,5 @@ func (m *machine) finish() (Run, error) {
 		}
 		finals[m.prog.Tasks[i].Name] = vars
 	}
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(m.events))
-	for i, e := range m.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range m.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
-	if err != nil {
-		return Run{}, fmt.Errorf("ada: generated computation invalid: %w", err)
-	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
-}
-
-func (m *machine) canonicalKey() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(m.events))
-	for i, e := range m.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(m.edges))
-	for i, e := range m.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}
 }

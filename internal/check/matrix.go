@@ -208,7 +208,7 @@ func Matrix() []Scenario {
 
 func exploreMonitor(p *monitor.Program) ([]*core.Computation, error) {
 	var comps []*core.Computation
-	truncated, err := streamMonitor(p)(func(c *core.Computation) bool {
+	truncated, err := stream(p)(func(c *core.Computation) bool {
 		comps = append(comps, c)
 		return true
 	})
@@ -221,58 +221,39 @@ func exploreMonitor(p *monitor.Program) ([]*core.Computation, error) {
 	return comps, nil
 }
 
-// streamMonitor adapts monitor.ExploreStream to the scenario streaming
-// shape, rejecting deadlocked runs.
-func streamMonitor(p *monitor.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return func(yield func(*core.Computation) bool) (bool, error) {
-		i := 0
-		var deadlock error
-		trunc, err := monitor.ExploreStream(p, monitor.ExploreOptions{MaxRuns: 60000}, func(r monitor.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: monitor run %d deadlocked", i)
-				return false
-			}
-			i++
-			return yield(r.Comp)
-		})
-		if err == nil {
-			err = deadlock
-		}
-		return trunc, err
-	}
-}
+// maxRuns caps every scenario's and refutation's exploration.
+const maxRuns = 60000
 
-func streamCSP(p *csp.Program) func(yield func(*core.Computation) bool) (bool, error) {
+// stream adapts a monitor, CSP or ADA program's ExploreStream to the
+// scenario streaming shape, rejecting deadlocked runs.
+func stream[P *monitor.Program | *csp.Program | *ada.Program](p P) func(yield func(*core.Computation) bool) (bool, error) {
 	return func(yield func(*core.Computation) bool) (bool, error) {
 		i := 0
 		var deadlock error
-		trunc, err := csp.ExploreStream(p, csp.ExploreOptions{MaxRuns: 60000}, func(r csp.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: csp run %d deadlocked", i)
+		each := func(lang Language, c *core.Computation, dead bool) bool {
+			if dead {
+				deadlock = fmt.Errorf("check: %s run %d deadlocked", lang, i)
 				return false
 			}
 			i++
-			return yield(r.Comp)
-		})
-		if err == nil {
-			err = deadlock
+			return yield(c)
 		}
-		return trunc, err
-	}
-}
-
-func streamAda(p *ada.Program) func(yield func(*core.Computation) bool) (bool, error) {
-	return func(yield func(*core.Computation) bool) (bool, error) {
-		i := 0
-		var deadlock error
-		trunc, err := ada.ExploreStream(p, ada.ExploreOptions{MaxRuns: 60000}, func(r ada.Run) bool {
-			if r.Deadlock {
-				deadlock = fmt.Errorf("check: ada run %d deadlocked", i)
-				return false
-			}
-			i++
-			return yield(r.Comp)
-		})
+		var trunc bool
+		var err error
+		switch p := any(p).(type) {
+		case *monitor.Program:
+			trunc, err = monitor.ExploreStream(p, monitor.ExploreOptions{MaxRuns: maxRuns}, func(r monitor.Run) bool {
+				return each(Monitor, r.Comp, r.Deadlock)
+			})
+		case *csp.Program:
+			trunc, err = csp.ExploreStream(p, csp.ExploreOptions{MaxRuns: maxRuns}, func(r csp.Run) bool {
+				return each(CSP, r.Comp, r.Deadlock)
+			})
+		case *ada.Program:
+			trunc, err = ada.ExploreStream(p, ada.ExploreOptions{MaxRuns: maxRuns}, func(r ada.Run) bool {
+				return each(Ada, r.Comp, r.Deadlock)
+			})
+		}
 		if err == nil {
 			err = deadlock
 		}
@@ -285,19 +266,19 @@ func oneslotScenario(lang Language) Scenario {
 	s := Scenario{Problem: "one-slot-buffer", Language: lang}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(oneslot.NewMonitorProgram(w))
+		s.Stream = stream(oneslot.NewMonitorProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.MonitorCorrespondence(), err
 		}
 	case CSP:
-		s.Stream = streamCSP(oneslot.NewCSPProgram(w))
+		s.Stream = stream(oneslot.NewCSPProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.CSPCorrespondence(w), err
 		}
 	default:
-		s.Stream = streamAda(oneslot.NewAdaProgram(w))
+		s.Stream = stream(oneslot.NewAdaProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := oneslot.ProblemSpec(w)
 			return problem, oneslot.AdaCorrespondence(), err
@@ -311,19 +292,19 @@ func boundedbufScenario(lang Language) Scenario {
 	s := Scenario{Problem: "bounded-buffer", Language: lang}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(boundedbuf.NewMonitorProgram(w))
+		s.Stream = stream(boundedbuf.NewMonitorProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.MonitorCorrespondence(w.Capacity), err
 		}
 	case CSP:
-		s.Stream = streamCSP(boundedbuf.NewCSPProgram(w))
+		s.Stream = stream(boundedbuf.NewCSPProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.CSPCorrespondence(w), err
 		}
 	default:
-		s.Stream = streamAda(boundedbuf.NewAdaProgram(w))
+		s.Stream = stream(boundedbuf.NewAdaProgram(w))
 		s.Setup = func() (*spec.Spec, verify.Correspondence, error) {
 			problem, err := boundedbuf.ProblemSpec(w)
 			return problem, boundedbuf.AdaCorrespondence(), err
@@ -344,13 +325,13 @@ func rwScenario(lang Language) Scenario {
 	}
 	switch lang {
 	case Monitor:
-		s.Stream = streamMonitor(rw.NewProgram(rw.ReadersPriority, w))
+		s.Stream = stream(rw.NewProgram(rw.ReadersPriority, w))
 		s.Setup = setup(rw.MonitorCorrespondence())
 	case CSP:
-		s.Stream = streamCSP(rw.NewCSPProgram(w))
+		s.Stream = stream(rw.NewCSPProgram(w))
 		s.Setup = setup(rw.CSPCorrespondence(w))
 	default:
-		s.Stream = streamAda(rw.NewAdaProgram(w))
+		s.Stream = stream(rw.NewAdaProgram(w))
 		s.Setup = setup(rw.AdaCorrespondence())
 	}
 	return s
@@ -437,7 +418,7 @@ func Refutations() []Refutation {
 				// The mutant can deadlock on some schedules (consumer done
 				// before the overflowing deposit); keep the non-deadlocked
 				// computations, which exhibit the overflow.
-				runs, _, err := monitor.Explore(prog, monitor.ExploreOptions{MaxRuns: 60000})
+				runs, _, err := monitor.Explore(prog, monitor.ExploreOptions{MaxRuns: maxRuns})
 				if err != nil {
 					return nil, nil, verify.Correspondence{}, err
 				}

@@ -3,10 +3,9 @@ package csp
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 )
 
 // Run is one complete (or deadlocked) execution rendered as a GEM
@@ -49,94 +48,12 @@ func Explore(p *Program, opts ExploreOptions) ([]Run, bool, error) {
 // yield returns false the exploration stops early with truncated ==
 // false and a nil error.
 func ExploreStream(p *Program, opts ExploreOptions, yield func(Run) bool) (bool, error) {
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 10000
-	}
-	seen := make(map[string]bool)
-	emitted := 0
-	truncated := false
-	stopped := false
-	var exploreErr error
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	var dfs func(m *machine)
-	dfs = func(m *machine) {
-		if truncated || stopped || exploreErr != nil {
-			return
-		}
-		select {
-		case <-done:
-			exploreErr = opts.Ctx.Err()
-			return
-		default:
-		}
-		if m.steps > opts.MaxSteps {
-			exploreErr = fmt.Errorf("csp: run exceeded %d steps", opts.MaxSteps)
-			return
-		}
-		for {
-			if m.steps > opts.MaxSteps {
-				exploreErr = fmt.Errorf("csp: run exceeded %d steps", opts.MaxSteps)
-				return
-			}
-			eager, _ := m.transitions()
-			if eager == nil {
-				break
-			}
-			if err := m.apply(*eager); err != nil {
-				exploreErr = err
-				return
-			}
-		}
-		_, ts := m.transitions()
-		if len(ts) == 0 {
-			key := m.canonicalKey()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := m.finish()
-			if err != nil {
-				exploreErr = err
-				return
-			}
-			emitted++
-			if !yield(run) {
-				stopped = true
-				return
-			}
-			if emitted >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := m.clone()
-			if err := next.apply(t); err != nil {
-				exploreErr = err
-				return
-			}
-			dfs(next)
-			if truncated || stopped || exploreErr != nil {
-				return
-			}
-		}
-	}
 	m, err := newMachine(p)
 	if err != nil {
 		return false, err
 	}
-	dfs(m)
-	if exploreErr != nil {
-		return false, exploreErr
-	}
-	return truncated, nil
+	return explore.Walk[*machine, transition](m,
+		explore.Options{Name: "csp", MaxRuns: opts.MaxRuns, MaxSteps: opts.MaxSteps, Ctx: opts.Ctx}, finish, yield)
 }
 
 type frame struct {
@@ -147,13 +64,6 @@ type frame struct {
 type procState struct {
 	vars   map[string]int64
 	frames []frame
-	lastEv int
-}
-
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
 }
 
 type machine struct {
@@ -161,9 +71,7 @@ type machine struct {
 	procs  []procState
 	byName map[string]int
 
-	events []evRec
-	edges  [][2]int
-	steps  int
+	trace explore.Trace
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
 	ext map[string]int64
@@ -174,6 +82,7 @@ func newMachine(p *Program) (*machine, error) {
 		prog:   p,
 		procs:  make([]procState, len(p.Processes)),
 		byName: make(map[string]int, len(p.Processes)),
+		trace:  explore.NewTrace(len(p.Processes)),
 		ext:    make(map[string]int64),
 	}
 	for i, proc := range p.Processes {
@@ -188,7 +97,6 @@ func newMachine(p *Program) (*machine, error) {
 		m.procs[i] = procState{
 			vars:   vars,
 			frames: []frame{{block: proc.Body}},
-			lastEv: -1,
 		}
 	}
 	for _, proc := range p.Processes {
@@ -231,14 +139,14 @@ func (m *machine) validateStmts(procName string, body []Stmt) error {
 	return nil
 }
 
-func (m *machine) clone() *machine {
+func (m *machine) Trace() *explore.Trace { return &m.trace }
+
+func (m *machine) Clone() *machine {
 	next := &machine{
 		prog:   m.prog,
 		procs:  make([]procState, len(m.procs)),
 		byName: m.byName,
-		events: append([]evRec(nil), m.events...),
-		edges:  append([][2]int(nil), m.edges...),
-		steps:  m.steps,
+		trace:  m.trace.Clone(),
 		ext:    make(map[string]int64, len(m.ext)),
 	}
 	for k, v := range m.ext {
@@ -248,7 +156,6 @@ func (m *machine) clone() *machine {
 		cp := procState{
 			vars:   make(map[string]int64, len(p.vars)),
 			frames: make([]frame, len(p.frames)),
-			lastEv: p.lastEv,
 		}
 		for k, v := range p.vars {
 			cp.vars[k] = v
@@ -257,23 +164,6 @@ func (m *machine) clone() *machine {
 		next.procs[i] = cp
 	}
 	return next
-}
-
-func (m *machine) emit(proc int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(m.events)
-	m.events = append(m.events, evRec{elem: elem, class: class, params: params})
-	if proc >= 0 && m.procs[proc].lastEv >= 0 {
-		m.edges = append(m.edges, [2]int{m.procs[proc].lastEv, idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			m.edges = append(m.edges, [2]int{e, idx})
-		}
-	}
-	if proc >= 0 {
-		m.procs[proc].lastEv = idx
-	}
-	return idx
 }
 
 // offer is a pending communication a process is ready to perform.
@@ -317,13 +207,13 @@ func (m *machine) consumeStmt(proc int) {
 	top.idx++
 }
 
-// transitions partitions schedulable steps for partial-order reduction:
+// Transitions partitions schedulable steps for partial-order reduction:
 // assignments, process-local ops, and Repeat unrolling commute with every
 // other enabled transition (their events, if any, occur at the process's
 // own element), so one of them may run eagerly without branching. The
 // branching choices are communications, alternative selections, and
 // operations at shared external elements.
-func (m *machine) transitions() (eager *transition, branches []transition) {
+func (m *machine) Transitions() (eager *transition, branches []transition) {
 	var ts []transition
 	var offers []offer
 	for i := range m.procs {
@@ -393,8 +283,7 @@ func (m *machine) transitions() (eager *transition, branches []transition) {
 	return nil, ts
 }
 
-func (m *machine) apply(t transition) error {
-	m.steps++
+func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "local":
 		return m.stepLocal(t.proc)
@@ -437,7 +326,7 @@ func (m *machine) stepLocal(proc int) error {
 				params["oldval"] = core.Int(m.ext[s.Element])
 			}
 		}
-		m.emit(proc, elem, s.Class, params)
+		m.trace.Emit(proc, elem, s.Class, params)
 	case Repeat:
 		for k := 0; k < s.N; k++ {
 			p.frames = append(p.frames, frame{block: s.Body})
@@ -462,11 +351,11 @@ func (m *machine) stepComm(out, inp offer) error {
 	identR := func() core.Params {
 		return core.Params{"v": core.Int(out.value), "proc": core.Str(qName), "partner": core.Str(pName)}
 	}
-	outReq := m.emit(sender, OutElement(pName, qName), "Req", ident())
-	inpReq := m.emit(receiver, InpElement(qName, pName), "Req", identR())
+	outReq := m.trace.Emit(sender, OutElement(pName, qName), "Req", ident())
+	inpReq := m.trace.Emit(receiver, InpElement(qName, pName), "Req", identR())
 	// Simultaneity: each End enabled by both requests.
-	m.emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
-	m.emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
+	m.trace.Emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
+	m.trace.Emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
 
 	if inp.recvVar != "" {
 		m.procs[receiver].vars[inp.recvVar] = out.value
@@ -480,7 +369,8 @@ func (m *machine) stepComm(out, inp offer) error {
 	return nil
 }
 
-func (m *machine) finish() (Run, error) {
+// finish builds the Run for a terminal state.
+func finish(m *machine, comp *core.Computation) Run {
 	deadlock := false
 	finals := make(map[string]map[string]int64, len(m.procs))
 	for i := range m.procs {
@@ -493,43 +383,5 @@ func (m *machine) finish() (Run, error) {
 		}
 		finals[m.prog.Processes[i].Name] = vars
 	}
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(m.events))
-	for i, e := range m.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range m.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
-	if err != nil {
-		return Run{}, fmt.Errorf("csp: generated computation invalid: %w", err)
-	}
-	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}, nil
-}
-
-func (m *machine) canonicalKey() string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(m.events))
-	for i, e := range m.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(m.edges))
-	for i, e := range m.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return Run{Comp: comp, FinalVars: finals, Deadlock: deadlock}
 }

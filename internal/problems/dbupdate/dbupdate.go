@@ -23,9 +23,9 @@ package dbupdate
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/logic"
 	"gem/internal/spec"
 )
@@ -94,6 +94,7 @@ type message struct {
 }
 
 type state struct {
+	opts    ExploreOptions
 	clock   []int64
 	applied []version
 	value   []int64
@@ -102,15 +103,7 @@ type state struct {
 	// inflight messages per channel (FIFO).
 	inflight map[[2]int][]message
 
-	events []evRec
-	edges  [][2]int
-	lastEv []int // per site
-}
-
-type evRec struct {
-	elem   string
-	class  string
-	params core.Params
+	trace explore.Trace // one actor per site
 }
 
 // ExploreOptions bounds the exploration.
@@ -130,106 +123,87 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = 100000
-	}
-	seen := make(map[string]bool)
-	var runs []Run
-	truncated := false
-
 	init := &state{
+		opts:           opts,
 		clock:          make([]int64, cfg.Sites),
 		applied:        make([]version, cfg.Sites),
 		value:          make([]int64, cfg.Sites),
 		pendingUpdates: make([][]Update, cfg.Sites),
 		inflight:       make(map[[2]int][]message),
-		lastEv:         make([]int, cfg.Sites),
+		trace:          explore.NewTrace(cfg.Sites),
 	}
-	for i := range init.lastEv {
-		init.lastEv[i] = -1
+	for i := range init.applied {
 		init.applied[i] = version{ts: -1, site: -1}
 	}
 	for _, u := range cfg.Updates {
 		init.pendingUpdates[u.Site] = append(init.pendingUpdates[u.Site], u)
 	}
-
-	totalMessages := 0 // counted per run implicitly; kept for docs
-
-	var dfs func(st *state)
-	dfs = func(st *state) {
-		if truncated {
-			return
-		}
-		type transition struct {
-			kind string // "originate", "deliver"
-			site int
-			ch   [2]int
-		}
-		var ts []transition
-		for i := 0; i < cfg.Sites; i++ {
-			if len(st.pendingUpdates[i]) > 0 {
-				ts = append(ts, transition{kind: "originate", site: i})
-			}
-		}
-		var chans [][2]int
-		for ch, q := range st.inflight {
-			if len(q) > 0 {
-				chans = append(chans, ch)
-			}
-		}
-		sort.Slice(chans, func(a, b int) bool {
-			if chans[a][0] != chans[b][0] {
-				return chans[a][0] < chans[b][0]
-			}
-			return chans[a][1] < chans[b][1]
+	var runs []Run
+	truncated, err := explore.Walk[*state, transition](init, explore.Options{Name: "dbupdate", MaxRuns: opts.MaxRuns}, finish,
+		func(r Run) bool {
+			runs = append(runs, r)
+			return true
 		})
-		for _, ch := range chans {
-			ts = append(ts, transition{kind: "deliver", ch: ch})
-		}
-		if len(ts) == 0 {
-			key := canonicalKey(st)
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			run, err := finish(cfg, st)
-			if err != nil {
-				return
-			}
-			runs = append(runs, run)
-			if len(runs) >= opts.MaxRuns {
-				truncated = true
-			}
-			return
-		}
-		for _, t := range ts {
-			next := st.clone()
-			if t.kind == "originate" {
-				next.originate(cfg, t.site, opts)
-			} else {
-				next.deliver(t.ch, opts)
-			}
-			dfs(next)
-			if truncated {
-				return
-			}
-		}
+	if err != nil {
+		return nil, false, err
 	}
-	dfs(init)
-	_ = totalMessages
 	return runs, truncated, nil
 }
 
-func (st *state) clone() *state {
+// transition originates site's next update or delivers the head of ch.
+type transition struct {
+	originate bool
+	site      int
+	ch        [2]int
+}
+
+// Transitions lists every enabled step as a branch: originations by
+// site, then deliveries by channel.
+func (st *state) Transitions() (*transition, []transition) {
+	var ts []transition
+	for i := range st.pendingUpdates {
+		if len(st.pendingUpdates[i]) > 0 {
+			ts = append(ts, transition{originate: true, site: i})
+		}
+	}
+	var chans [][2]int
+	for ch, q := range st.inflight {
+		if len(q) > 0 {
+			chans = append(chans, ch)
+		}
+	}
+	sort.Slice(chans, func(a, b int) bool {
+		if chans[a][0] != chans[b][0] {
+			return chans[a][0] < chans[b][0]
+		}
+		return chans[a][1] < chans[b][1]
+	})
+	for _, ch := range chans {
+		ts = append(ts, transition{ch: ch})
+	}
+	return nil, ts
+}
+
+func (st *state) Apply(t transition) error {
+	if t.originate {
+		st.originate(t.site)
+	} else {
+		st.deliver(t.ch)
+	}
+	return nil
+}
+
+func (st *state) Trace() *explore.Trace { return &st.trace }
+
+func (st *state) Clone() *state {
 	next := &state{
+		opts:           st.opts,
 		clock:          append([]int64(nil), st.clock...),
 		applied:        append([]version(nil), st.applied...),
 		value:          append([]int64(nil), st.value...),
 		pendingUpdates: make([][]Update, len(st.pendingUpdates)),
 		inflight:       make(map[[2]int][]message, len(st.inflight)),
-		events:         append([]evRec(nil), st.events...),
-		edges:          append([][2]int(nil), st.edges...),
-		lastEv:         append([]int(nil), st.lastEv...),
+		trace:          st.trace.Clone(),
 	}
 	for i, q := range st.pendingUpdates {
 		next.pendingUpdates[i] = append([]Update(nil), q...)
@@ -240,24 +214,7 @@ func (st *state) clone() *state {
 	return next
 }
 
-func (st *state) emit(site int, elem, class string, params core.Params, extra ...int) int {
-	idx := len(st.events)
-	st.events = append(st.events, evRec{elem: elem, class: class, params: params})
-	if site >= 0 && st.lastEv[site] >= 0 {
-		st.edges = append(st.edges, [2]int{st.lastEv[site], idx})
-	}
-	for _, e := range extra {
-		if e >= 0 {
-			st.edges = append(st.edges, [2]int{e, idx})
-		}
-	}
-	if site >= 0 {
-		st.lastEv[site] = idx
-	}
-	return idx
-}
-
-func (st *state) originate(cfg Config, site int, opts ExploreOptions) {
+func (st *state) originate(site int) {
 	u := st.pendingUpdates[site][0]
 	st.pendingUpdates[site] = st.pendingUpdates[site][1:]
 	st.clock[site]++
@@ -265,59 +222,48 @@ func (st *state) originate(cfg Config, site int, opts ExploreOptions) {
 	params := core.Params{
 		"val": core.Int(u.Value), "ts": core.Int(ver.ts), "origin": core.Int(int64(site)),
 	}
-	upd := st.emit(site, SiteElement(site), "Update", params)
-	st.apply(site, ver, u.Value, upd, opts)
+	upd := st.trace.Emit(site, SiteElement(site), "Update", params)
+	st.apply(site, ver, u.Value, upd)
 	// Broadcast to every other site.
 	for j := 0; j < len(st.clock); j++ {
 		if j == site {
 			continue
 		}
-		send := st.emit(site, ChanElement(site, j), "Send", params.Clone())
+		send := st.trace.Emit(site, ChanElement(site, j), "Send", params.Clone())
 		msg := message{from: site, to: j, ver: ver, val: u.Value, sendEv: send}
-		if opts.DropLastMessage && len(st.pendingUpdates[site]) == 0 && j == len(st.clock)-1 && site != len(st.clock)-1 {
+		if st.opts.DropLastMessage && len(st.pendingUpdates[site]) == 0 && j == len(st.clock)-1 && site != len(st.clock)-1 {
 			continue // lose the message: Send happened, Recv never will
 		}
 		st.inflight[[2]int{site, j}] = append(st.inflight[[2]int{site, j}], msg)
 	}
 }
 
-func (st *state) deliver(ch [2]int, opts ExploreOptions) {
+func (st *state) deliver(ch [2]int) {
 	q := st.inflight[ch]
 	msg := q[0]
 	st.inflight[ch] = q[1:]
 	params := core.Params{
 		"val": core.Int(msg.val), "ts": core.Int(msg.ver.ts), "origin": core.Int(int64(msg.ver.site)),
 	}
-	recv := st.emit(msg.to, ChanElement(msg.from, msg.to), "Recv", params, msg.sendEv)
+	recv := st.trace.Emit(msg.to, ChanElement(msg.from, msg.to), "Recv", params, msg.sendEv)
 	if msg.ver.ts > st.clock[msg.to] {
 		st.clock[msg.to] = msg.ver.ts
 	}
-	if opts.IgnoreVersions || st.applied[msg.to].less(msg.ver) {
-		st.apply(msg.to, msg.ver, msg.val, recv, opts)
+	if st.opts.IgnoreVersions || st.applied[msg.to].less(msg.ver) {
+		st.apply(msg.to, msg.ver, msg.val, recv)
 	}
 }
 
-func (st *state) apply(site int, ver version, val int64, cause int, _ ExploreOptions) {
+func (st *state) apply(site int, ver version, val int64, cause int) {
 	st.applied[site] = ver
 	st.value[site] = val
-	st.emit(site, SiteElement(site), "Apply", core.Params{
+	st.trace.Emit(site, SiteElement(site), "Apply", core.Params{
 		"val": core.Int(val), "ts": core.Int(ver.ts), "origin": core.Int(int64(ver.site)),
 	}, cause)
 }
 
-func finish(cfg Config, st *state) (Run, error) {
-	b := core.NewBuilder()
-	ids := make([]core.EventID, len(st.events))
-	for i, e := range st.events {
-		ids[i] = b.Event(e.elem, e.class, e.params)
-	}
-	for _, e := range st.edges {
-		b.Enable(ids[e[0]], ids[e[1]])
-	}
-	comp, err := b.Build()
-	if err != nil {
-		return Run{}, err
-	}
+// finish builds the Run for a terminal state.
+func finish(st *state, comp *core.Computation) Run {
 	finals := append([]int64(nil), st.value...)
 	converged := true
 	for i := 1; i < len(finals); i++ {
@@ -325,33 +271,7 @@ func finish(cfg Config, st *state) (Run, error) {
 			converged = false
 		}
 	}
-	return Run{Comp: comp, Finals: finals, Converged: converged}, nil
-}
-
-func canonicalKey(st *state) string {
-	perElem := make(map[string]int)
-	labels := make([]string, len(st.events))
-	for i, e := range st.events {
-		labels[i] = fmt.Sprintf("%s^%d:%s%s", e.elem, perElem[e.elem], e.class, e.params)
-		perElem[e.elem]++
-	}
-	var sb strings.Builder
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	for _, l := range sorted {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	edgeLabels := make([]string, len(st.edges))
-	for i, e := range st.edges {
-		edgeLabels[i] = labels[e[0]] + ">" + labels[e[1]]
-	}
-	sort.Strings(edgeLabels)
-	for _, l := range edgeLabels {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return Run{Comp: comp, Finals: finals, Converged: converged}
 }
 
 // Spec builds the GEM specification of the algorithm: site elements

@@ -33,6 +33,7 @@ go run ./cmd/gemlint -deep -stats -trace "$tracedir/lint.json" examples/specs/*.
 go run ./cmd/gemcheck -j 2 -cache off -stats -trace "$tracedir/check.json" rw >/dev/null 2>"$tracedir/check.stats"
 go run ./cmd/tracecheck -min-spans 1 "$tracedir/lint.json" "$tracedir/check.json"
 grep -q '== spans ==' "$tracedir/check.stats"
+grep -q 'explore.dup' "$tracedir/check.stats"
 echo "==> gemgo fixture corpora: defects report exactly their code, cleans report nothing"
 go build -o "$tracedir/gemgo" ./cmd/gemgo
 for dir in internal/gofront/testdata/src/*/ internal/race/testdata/src/*/; do
