@@ -26,7 +26,7 @@ import (
 	"gem/internal/analyze"
 	"gem/internal/gemlang"
 	"gem/internal/lint"
-	"gem/internal/obs"
+	"gem/internal/profiling"
 	"gem/internal/spec"
 )
 
@@ -43,8 +43,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	format := fs.Bool("format", false, "re-emit the specification as canonical GEM source")
 	lintFlag := fs.Bool("lint", false, "run the gemlint static analyses; errors fail the compile")
 	deepFlag := fs.Bool("deep", false, "run the deep semantic analyses too (implies -lint)")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (use -trace=FILE)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
+	pf := profiling.Register(fs, 0)
 	usage := func() error {
 		var b strings.Builder
 		fmt.Fprintln(&b, "usage: gemc [-format] [-lint] [-deep] [-trace=FILE] [-stats] FILE.gem")
@@ -72,14 +71,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	if fs.NArg() != 1 {
 		return usage()
 	}
-	if *trace != "" || *stats {
-		obs.Enable()
-		defer func() {
-			if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-				err = ferr
-			}
-		}()
-	}
+	flush := pf.Observe(os.Stderr)
+	defer func() {
+		if ferr := flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}()
 	file := fs.Arg(0)
 	src, err := os.ReadFile(file)
 	if err != nil {

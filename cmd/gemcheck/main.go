@@ -30,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +45,6 @@ import (
 	"gem/internal/problems/rw"
 	"gem/internal/profiling"
 	"gem/internal/spec"
-	"gem/internal/store"
 )
 
 func main() {
@@ -59,58 +56,29 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gemcheck", flag.ContinueOnError)
-	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential engine)")
-	engineName := fs.String("engine", "auto", "temporal evaluation engine: auto, lattice or seq")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	cacheMode := fs.String("cache", "rw", "persistent result store: off, ro or rw")
-	cacheDir := fs.String("cache-dir", "", "result store directory (default $GEM_CACHE_DIR, else the user cache dir)")
+	pf := profiling.Register(fs, profiling.Jobs|profiling.Engine|profiling.Profile|profiling.Cache)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: gemcheck [-j N] [-engine E] {access|histories|rw|distributed}")
 	}
-	engine, err := logic.ParseEngine(*engineName)
+	ctx, stop, err := pf.Start()
 	if err != nil {
 		return err
 	}
-	if *trace != "" || *stats {
-		obs.Enable()
-	}
-	// Registered before the CPU profile starts so the LIFO defer order
-	// stops the profile first, then flushes the trace/stats — an
-	// interrupted run still produces a parseable profile and a valid
-	// (truncated) trace.
-	defer func() {
-		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
+	defer stop(&err)
 	switch fs.Arg(0) {
 	case "access":
 		err = accessTable()
 	case "histories":
 		err = histories()
 	case "rw":
-		st, serr := store.OpenFromFlags(*cacheMode, *cacheDir, os.Stderr)
+		_, cache, serr := pf.Store()
 		if serr != nil {
 			return serr
 		}
-		var cache logic.VerdictCache
-		if st != nil {
-			cache = st
-		}
-		err = rwMatrix(ctx, *j, engine, cache)
+		err = rwMatrix(ctx, pf.Jobs, pf.Engine, cache)
 	case "distributed":
 		err = distributed()
 	default:
@@ -122,7 +90,7 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	return profiling.WriteHeap(*memprofile)
+	return pf.WriteHeap()
 }
 
 // prelint runs the gemlint static analyses over a problem specification

@@ -24,7 +24,7 @@
 //
 // Exit status: 0 when every package is clean, 1 when warnings were
 // reported but no errors, 2 on errors — including packages that fail to
-// parse.
+// parse and a -trace file that cannot be written.
 package main
 
 import (
@@ -33,13 +33,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"gem/internal/gofront"
 	"gem/internal/lint"
-	"gem/internal/obs"
+	"gem/internal/profiling"
 	"gem/internal/race"
 )
 
@@ -53,16 +52,14 @@ type pkgResult struct {
 	errMsg string // load failure (exit 2)
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (exit int) {
 	fs := flag.NewFlagSet("gemgo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (alias for -format=json)")
 	format := fs.String("format", "", "output format: text, json, or sarif (default text)")
 	dump := fs.Bool("dump-spec", false, "print the extracted GEM model for each root function instead of diagnosing")
 	codes := fs.Bool("codes", false, "print the shared GEM code registry (code, severity, summary) and exit")
-	jobs := fs.Int("j", runtime.NumCPU(), "number of packages to analyze in parallel")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
+	pf := profiling.Register(fs, profiling.Jobs)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: gemgo [-dump-spec] [-format=text|json|sarif] [-j N] PACKAGES... | gemgo -codes")
 		fs.PrintDefaults()
@@ -91,14 +88,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *trace != "" || *stats {
-		obs.Enable()
-		defer func() {
-			if err := obs.Flush(*trace, *stats, stderr); err != nil {
-				fmt.Fprintf(stderr, "gemgo: %v\n", err)
-			}
-		}()
-	}
+	// A trace or stats table that cannot be written is an I/O failure.
+	flush := pf.Observe(stderr)
+	defer func() {
+		if err := flush(); err != nil {
+			fmt.Fprintf(stderr, "gemgo: %v\n", err)
+			exit = 2
+		}
+	}()
 
 	dirs, err := gofront.ExpandPatterns(fs.Args())
 	if err != nil {
@@ -113,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Analyze packages concurrently; results land in the slot of their
 	// input position so output never depends on scheduling.
 	results := make([]pkgResult, len(dirs))
-	workers := *jobs
+	workers := pf.Jobs
 	if workers < 1 {
 		workers = 1
 	}
@@ -148,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	wg.Wait()
 
-	exit := 0
 	worsen := func(code int) {
 		if code > exit {
 			exit = code

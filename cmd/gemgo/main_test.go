@@ -185,3 +185,16 @@ func TestRunMissingDir(t *testing.T) {
 		t.Fatalf("exit = %d, want 2", got)
 	}
 }
+
+// TestRunTraceWriteFailure: a -trace file that cannot be written is an
+// I/O failure (exit 2), even when the package itself is clean.
+func TestRunTraceWriteFailure(t *testing.T) {
+	var out, errb strings.Builder
+	bad := filepath.Join(t.TempDir(), "missing", "t.json")
+	if code := run([]string{"-trace", bad, filepath.Join(fixtures, "clean_gem013_paired")}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "gemgo: obs:") {
+		t.Errorf("stderr does not report the trace failure: %s", errb.String())
+	}
+}

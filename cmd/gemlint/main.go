@@ -21,7 +21,8 @@
 //
 // Exit status: 0 when every file is clean (or has only informational
 // output), 1 when warnings were reported but no errors, 2 on errors —
-// including files that fail to parse.
+// including files that fail to parse and a -trace file that cannot be
+// written.
 package main
 
 import (
@@ -36,7 +37,7 @@ import (
 
 	"gem/internal/analyze"
 	"gem/internal/lint"
-	"gem/internal/obs"
+	"gem/internal/profiling"
 )
 
 func main() {
@@ -49,15 +50,14 @@ type fileResult struct {
 	errMsg string // read or parse failure (exit 2)
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (exit int) {
 	fs := flag.NewFlagSet("gemlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (alias for -format=json)")
 	format := fs.String("format", "", "output format: text, json, or sarif (default text)")
 	deep := fs.Bool("deep", false, "run the deep semantic analyses (GEM009-GEM012)")
 	codes := fs.Bool("codes", false, "print the shared GEM code registry (code, severity, summary) and exit")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
+	pf := profiling.Register(fs, 0)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: gemlint [-deep] [-format=text|json|sarif] FILE.gem... | gemlint -codes")
 		fs.PrintDefaults()
@@ -86,14 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *trace != "" || *stats {
-		obs.Enable()
-		defer func() {
-			if err := obs.Flush(*trace, *stats, stderr); err != nil {
-				fmt.Fprintf(stderr, "gemlint: %v\n", err)
-			}
-		}()
-	}
+	// A trace or stats table that cannot be written is an I/O failure.
+	flush := pf.Observe(stderr)
+	defer func() {
+		if err := flush(); err != nil {
+			fmt.Fprintf(stderr, "gemlint: %v\n", err)
+			exit = 2
+		}
+	}()
 
 	// Analyze every file concurrently; results land in the slot of their
 	// input position, so output order never depends on scheduling.
@@ -120,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	wg.Wait()
 
-	exit := 0
 	worsen := func(code int) {
 		if code > exit {
 			exit = code

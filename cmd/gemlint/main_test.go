@@ -238,3 +238,17 @@ func TestRunDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestRunTraceWriteFailure: a -trace file that cannot be written is an
+// I/O failure (exit 2), even when every file is clean.
+func TestRunTraceWriteFailure(t *testing.T) {
+	path := writeSpec(t, "clean.gem", cleanSpec)
+	bad := filepath.Join(t.TempDir(), "missing", "t.json")
+	var out, errb strings.Builder
+	if got := run([]string{"-trace", bad, path}, &out, &errb); got != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", got, errb.String())
+	}
+	if !strings.Contains(errb.String(), "gemlint: obs:") {
+		t.Errorf("stderr does not report the trace failure: %s", errb.String())
+	}
+}

@@ -24,14 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 
-	"gem/internal/logic"
 	"gem/internal/mutate"
-	"gem/internal/obs"
 	"gem/internal/profiling"
-	"gem/internal/store"
 )
 
 func main() {
@@ -45,51 +40,30 @@ func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gemmut", flag.ContinueOnError)
 	n := fs.Int("n", 2000, "mutants to generate")
 	seed := fs.Int64("seed", 0, "campaign seed (same seed, same campaign)")
-	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential)")
 	budget := fs.Duration("budget", 0, "wall-time budget (0 = unlimited); exceeding it aborts with partial results")
 	name := fs.String("name", "gemmut", "campaign name for the persisted manifest")
 	replay := fs.String("replay", "", "replay the named campaign's corpus from the store instead of mutating")
 	verbose := fs.Bool("v", false, "also list every shrunk failure")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	cacheMode := fs.String("cache", "rw", "persistent result store: off, ro or rw")
-	cacheDir := fs.String("cache-dir", "", "result store directory (default $GEM_CACHE_DIR, else the user cache dir)")
+	pf := profiling.Register(fs, profiling.Jobs|profiling.Profile|profiling.Cache)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: gemmut [-n N] [-seed S] [-j N] [-budget D] [-replay NAME]")
 	}
-	if *trace != "" || *stats {
-		obs.Enable()
-	}
-	defer func() {
-		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
+	ctx, stop, err := pf.Start()
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
+	defer stop(&err)
 	if *budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *budget)
 		defer cancel()
 	}
-
-	st, serr := store.OpenFromFlags(*cacheMode, *cacheDir, os.Stderr)
-	if serr != nil {
-		return serr
-	}
-	var cache logic.VerdictCache
-	if st != nil {
-		cache = st
+	st, cache, err := pf.Store()
+	if err != nil {
+		return err
 	}
 
 	if *replay != "" {
@@ -98,13 +72,13 @@ func run(args []string) (err error) {
 			return rerr
 		}
 		fmt.Printf("replayed %d corpus entries of campaign %s: engines agree on all\n", entries, *replay)
-		return profiling.WriteHeap(*memprofile)
+		return pf.WriteHeap()
 	}
 
 	rep, cerr := mutate.Run(mutate.Config{
 		N:           *n,
 		Seed:        *seed,
-		Parallelism: *j,
+		Parallelism: pf.Jobs,
 		Ctx:         ctx,
 		Cache:       cache,
 		Store:       st,
@@ -121,7 +95,7 @@ func run(args []string) (err error) {
 	} else {
 		rep.Render(os.Stdout)
 	}
-	if err := profiling.WriteHeap(*memprofile); err != nil {
+	if err := pf.WriteHeap(); err != nil {
 		return err
 	}
 	if len(rep.Findings) > 0 {

@@ -26,8 +26,8 @@
 // statistics to stderr.
 //
 // The -cache flag (off, ro, or rw; default rw) controls the persistent
-// result store behind incremental checking: restriction verdicts, guard
-// vectors, whole-check sat records, and history-lattice artifacts are
+// result store behind incremental checking: restriction verdicts,
+// whole-check sat records, and history-lattice artifacts are
 // keyed by content hashes of the canonical spec and the computation
 // fingerprint, so a repeat run against an unchanged spec serves verdicts
 // from disk instead of re-evaluating. -cache-dir overrides the location
@@ -45,19 +45,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 
 	"gem/internal/check"
 	"gem/internal/lint"
-	"gem/internal/logic"
-	"gem/internal/obs"
 	"gem/internal/profiling"
-	"gem/internal/store"
 )
 
 func main() {
@@ -69,50 +63,22 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gemverify", flag.ContinueOnError)
-	j := fs.Int("j", runtime.NumCPU(), "checking parallelism (1 = sequential engine)")
-	engineName := fs.String("engine", "auto", "temporal evaluation engine: auto, lattice or seq")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	stats := fs.Bool("stats", false, "print span and counter statistics to stderr on exit")
-	cacheMode := fs.String("cache", "rw", "persistent result store: off, ro or rw")
-	cacheDir := fs.String("cache-dir", "", "result store directory (default $GEM_CACHE_DIR, else the user cache dir)")
+	pf := profiling.Register(fs, profiling.Jobs|profiling.Engine|profiling.Profile|profiling.Cache)
 	sarif := fs.String("sarif", "", "write the matrix outcome as SARIF to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := logic.ParseEngine(*engineName)
+	ctx, stop, err := pf.Start()
 	if err != nil {
 		return err
 	}
-	if *trace != "" || *stats {
-		obs.Enable()
-	}
-	// Registered before the CPU profile starts so the LIFO defer order
-	// stops the profile first, then flushes the trace/stats — both run
-	// even when the context below was cancelled mid-matrix.
-	defer func() {
-		if ferr := obs.Flush(*trace, *stats, os.Stderr); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
-
-	st, err := store.OpenFromFlags(*cacheMode, *cacheDir, os.Stderr)
+	defer stop(&err)
+	_, cache, err := pf.Store()
 	if err != nil {
 		return err
 	}
 
-	opts := check.Options{Parallelism: *j, Engine: engine, Ctx: ctx}
-	if st != nil {
-		opts.Cache = st
-	}
+	opts := check.Options{Parallelism: pf.Jobs, Engine: pf.Engine, Ctx: ctx, Cache: cache}
 	cells, merr := check.RunMatrixCells(os.Stdout, opts)
 	// The SARIF log is written even for a failing matrix — the failures
 	// are exactly what it exists to report.
@@ -126,7 +92,7 @@ func run(args []string) (err error) {
 	if err := check.RunRefutations(os.Stdout, opts); err != nil {
 		return err
 	}
-	return profiling.WriteHeap(*memprofile)
+	return pf.WriteHeap()
 }
 
 // writeSARIF renders the matrix cells as a SARIF log: one GEM017 result

@@ -14,12 +14,6 @@
 //	GEM011  unreachable event — a class no legal enable chain can
 //	        produce, transitively, under the access relation (error);
 //	GEM012  subsumed/redundant restriction (warning).
-//
-// The same run computes per-restriction emptiness Guards that the
-// legality checker's fast path (legal.Options.FastPath) consults to skip
-// enumeration on computations where a restriction is decided statically;
-// the skip is verdict-preserving (see guard.go for the soundness
-// argument).
 package analyze
 
 import (
@@ -40,8 +34,6 @@ type Result struct {
 	Lint *lint.Result
 	// Deep holds the GEM009–GEM012 diagnostics, canonically sorted.
 	Deep []lint.Diagnostic
-
-	guards map[string]Guard // owner+"\x00"+name -> fast-path guard
 }
 
 // All returns the shallow and deep diagnostics merged in canonical
@@ -70,13 +62,6 @@ func (r *Result) bySeverity(s lint.Severity) []lint.Diagnostic {
 	return out
 }
 
-// GuardFor returns the fast-path guard computed for the named
-// restriction.
-func (r *Result) GuardFor(owner, name string) (Guard, bool) {
-	g, ok := r.guards[owner+"\x00"+name]
-	return g, ok
-}
-
 // Analyze runs the deep analysis over the specification IR. Diagnostics
 // carry no positions; use AnalyzeSource for position-annotated output.
 func Analyze(s *spec.Spec) *Result { return AnalyzeMarked(s, nil) }
@@ -97,22 +82,20 @@ func AnalyzeMarked(s *spec.Spec, marks *gemlang.SourceMap) *Result {
 	lr := lint.AnalyzeMarked(s, marks)
 	_, sp := obs.StartSpan(nil, "analyze.deep")
 	defer sp.End()
-	a := &deepAnalysis{s: s, marks: marks, res: &Result{Lint: lr, guards: make(map[string]Guard)}}
+	a := &deepAnalysis{s: s, marks: marks, res: &Result{Lint: lr}}
 	g := buildPairGraph(s, lr)
 	a.checkUnreachable(g, lr)
 	a.checkContradiction(g)
 	a.checkDeadlock(g, lr)
 	a.checkRedundant(lr)
-	a.computeGuards()
 	lint.SortDiagnostics(a.res.Deep)
 	return a.res
 }
 
 var specCache sync.Map // *spec.Spec -> *Result
 
-// ForSpec memoizes Analyze per Spec value; the legality checker's fast
-// path calls it once per computation checked, so the analysis must be
-// free after the first call.
+// ForSpec memoizes Analyze per Spec value, so repeated calls for one
+// specification cost nothing after the first.
 func ForSpec(s *spec.Spec) *Result {
 	if r, ok := specCache.Load(s); ok {
 		return r.(*Result)
@@ -202,13 +185,4 @@ func (a *deepAnalysis) guardUnsatisfiable(g *pairGraph, gs guardSet) bool {
 		}
 	}
 	return true
-}
-
-// computeGuards derives the verify fast-path guard for every
-// restriction.
-func (a *deepAnalysis) computeGuards() {
-	for _, r := range a.s.Restrictions() {
-		g := Guard{Owner: r.Owner, Name: r.Name, alts: validGuards(r.F)}
-		a.res.guards[r.Owner+"\x00"+r.Name] = g
-	}
 }

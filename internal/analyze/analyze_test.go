@@ -7,7 +7,6 @@ import (
 	"gem/internal/core"
 	"gem/internal/lint"
 	"gem/internal/logic"
-	"gem/internal/thread"
 )
 
 func refs(gs guardSet) string { return gs.String() }
@@ -116,46 +115,6 @@ func containsAlt(gs []guardSet, want string) bool {
 		}
 	}
 	return false
-}
-
-// TestGuardHoldsOn: a guard holds exactly when the computation is empty
-// on every guarded class and thread type of some alternative.
-func TestGuardHoldsOn(t *testing.T) {
-	aGo := core.Ref("a", "Go")
-	g := Guard{Owner: "a", Name: "r", alts: []guardSet{{refs: []core.ClassRef{aGo}}}}
-
-	empty, err := core.NewBuilder().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.HoldsOn(empty) {
-		t.Error("guard on a.Go should hold on the empty computation")
-	}
-
-	b := core.NewBuilder()
-	b.Event("a", "Go", nil)
-	withEvent, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.HoldsOn(withEvent) {
-		t.Error("guard on a.Go should not hold when an a.Go event exists")
-	}
-
-	tg := Guard{Owner: "a", Name: "r", alts: []guardSet{{threads: []string{"pi"}}}}
-	if !tg.HoldsOn(withEvent) {
-		t.Error("thread guard should hold with no pi-labelled events")
-	}
-	b2 := core.NewBuilder()
-	id := b2.Event("a", "Go", nil)
-	b2.Thread(id, thread.ID("pi", 1))
-	labelled, err := b2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tg.HoldsOn(labelled) {
-		t.Error("thread guard should not hold once a pi instance exists")
-	}
 }
 
 // deepSource runs the deep analyzer over inline GEM source and returns

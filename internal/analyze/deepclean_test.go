@@ -34,8 +34,8 @@ func TestShippedSpecsDeepClean(t *testing.T) {
 	}
 }
 
-// TestForSpecMemoized: the fast path calls ForSpec once per computation;
-// repeated calls must return the identical cached result.
+// TestForSpecMemoized: repeated calls must return the identical cached
+// result.
 func TestForSpecMemoized(t *testing.T) {
 	s, err := boundedbuf.ProblemSpec(boundedbuf.Workload{
 		Producers: 1, Consumers: 1, ItemsPerProducer: 1, Capacity: 1})

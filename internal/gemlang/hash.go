@@ -28,7 +28,7 @@ func HashFormula(f logic.Formula) string {
 // specification: the SHA-256 of its canonical rendering (Format), which
 // Parse round-trips to an equivalent spec. Like HashFormula it is
 // position-independent; it keys whole-spec artifacts (the sat records
-// and fast-path guard vectors of the persistent store).
+// of the persistent store).
 func HashSpec(s *spec.Spec) string {
 	return hashString("gem.spec\x00" + specKey(s))
 }

@@ -104,39 +104,14 @@ type Options struct {
 	// SkipRestrictions limits the check to structural legality (event
 	// declarations, enable edges, threads).
 	SkipRestrictions bool
-	// MaxViolations stops after this many violations (0 = collect all).
-	MaxViolations int
-	// Prelint runs the gemlint static analyzer over the specification (a
-	// memoized, computation-independent pass) and short-circuits the
-	// restrictions it proved statically unsatisfiable whenever the
-	// computation activates them, skipping their history enumeration.
-	// The verdict and the set of failing restrictions are exactly the
-	// dynamic check's; only the violation messages differ.
-	Prelint bool
-	// FastPath consults the deep analyzer's per-restriction emptiness
-	// guards (analyze.ForSpec, memoized): a restriction whose guard holds
-	// on the computation — the classes and thread types that could
-	// falsify it are absent — is statically satisfied, so its history
-	// enumeration is skipped with the verdict preserved exactly. The dual
-	// of Prelint: Prelint short-circuits restrictions proven to fail,
-	// FastPath ones proven to hold.
-	FastPath bool
-	// Guards, when non-nil and FastPath is set, persists the fast-path
-	// guard vector across processes: a hit skips re-deriving the guards
-	// and re-evaluating them on the computation. Entries are keyed by
-	// spec hash and computation fingerprint (internal/store satisfies
-	// this structurally), so they are exactly as valid as a fresh
-	// fastPathHolds run; a miss, a corrupt entry, or a length mismatch
-	// falls back to computing and writing behind.
-	Guards GuardCache
 }
 
-// GuardCache persists per-restriction fast-path guard vectors (the
-// []bool fastPathHolds computes). LookupGuards returns the cached vector
-// and whether it was found; a found nil vector is meaningful ("no guard
-// fires for this spec/computation") and is distinct from a miss.
-// Implementations must be safe for concurrent use and must degrade
-// internal failures to a miss.
+// GuardCache persists per-restriction guard vectors. No program code
+// calls it any more: the benchmark's store wrapper still forwards it, and
+// it goes with the next revision of that benchmark. LookupGuards returns
+// the cached vector and whether it was found; a found nil vector is
+// distinct from a miss. Implementations must be safe for concurrent use
+// and must degrade internal failures to a miss.
 type GuardCache interface {
 	LookupGuards(s *spec.Spec, c *core.Computation) ([]bool, bool)
 	StoreGuards(s *spec.Spec, c *core.Computation, hold []bool)
@@ -146,203 +121,128 @@ type GuardCache interface {
 // specification.
 func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	var res Result
-	add := func(v Violation) bool {
-		res.Violations = append(res.Violations, v)
-		return opts.MaxViolations == 0 || len(res.Violations) < opts.MaxViolations
-	}
+	add := func(v Violation) { res.Violations = append(res.Violations, v) }
 
-	if !checkEvents(s, c, add) {
-		return res
-	}
-	if !checkEnables(s, c, add) {
-		return res
-	}
+	checkEvents(s, c, add)
+	checkEnables(s, c, add)
 	if len(s.Threads()) > 0 {
 		if err := thread.Validate(c, s.Threads()...); err != nil {
-			if !add(Violation{Kind: ThreadViolation, Message: err.Error()}) {
-				return res
-			}
+			add(Violation{Kind: ThreadViolation, Message: err.Error()})
 		}
 	}
 	if opts.SkipRestrictions {
 		return res
 	}
 	rs := s.Restrictions()
-	var pre []*Violation
-	if opts.Prelint {
-		pre = prelintViolations(s, c, rs)
-	}
-	var hold []bool
-	if opts.FastPath {
-		cached := false
-		if opts.Guards != nil {
-			if g, ok := opts.Guards.LookupGuards(s, c); ok && (g == nil || len(g) == len(rs)) {
-				hold, cached = g, true
-			}
-		}
-		if !cached {
-			hold = fastPathHolds(s, c, rs)
-			if opts.Guards != nil {
-				opts.Guards.StoreGuards(s, c, hold)
-			}
-		}
-		if obs.Enabled() {
-			for _, h := range hold {
-				if h {
-					obs.Count("fastpath.hits", 1)
-				}
-			}
-		}
-	}
-	for i, cx := range restrictionCounterexamples(s, c, opts, pre, hold) {
-		if pre != nil && pre[i] != nil {
-			obs.Count("prelint.shortcircuit", 1)
-			if !add(*pre[i]) {
-				return res
-			}
-			continue
-		}
+	for i, cx := range restrictionCounterexamples(rs, c, opts.Check) {
 		if cx != nil {
-			v := Violation{
+			add(Violation{
 				Kind:        RestrictionViolation,
 				Message:     cx.Error(),
 				Restriction: rs[i].Name,
 				Owner:       rs[i].Owner,
 				Cx:          cx,
-			}
-			if !add(v) {
-				return res
-			}
+			})
 		}
 	}
 	return res
 }
 
-// restrictionCounterexamples checks every explicit restriction against
-// the computation, in parallel when opts.Check.Parallelism > 1. Results
-// are indexed by restriction, so violations are always collected in
-// declaration order — a parallel check reports the same violations, in
-// the same order, with the same first-failure restriction index as the
-// sequential one. All restrictions share the computation's memoized
-// history lattice, which is enumerated at most once. Restrictions with a
-// non-nil pre entry were already refuted by the lint pre-pass and are
-// not evaluated (they count against the violation budget in order, like
-// a found violation); restrictions with a true hold entry were proved to
-// hold by the fast-path guard and are not evaluated either (their result
-// stays nil, exactly the verdict the enumeration would reach).
-func restrictionCounterexamples(s *spec.Spec, c *core.Computation, opts Options, pre []*Violation, hold []bool) []*logic.Counterexample {
-	rs := s.Restrictions()
+// restrictionCounterexamples checks every restriction against the
+// computation on up to opts.Parallelism workers. Results are indexed by
+// restriction, so violations are always collected in declaration order:
+// every worker count reports the same violations in the same order. All
+// restrictions share the computation's memoized history lattice, which is
+// enumerated at most once.
+func restrictionCounterexamples(rs []spec.OwnedRestriction, c *core.Computation, opts logic.CheckOptions) []*logic.Counterexample {
 	cxs := make([]*logic.Counterexample, len(rs))
-	skip := func(i int) bool { return pre != nil && pre[i] != nil }
-	holds := func(i int) bool { return hold != nil && hold[i] }
-	// eval runs one restriction under its own span, so the trace and the
-	// per-restriction stats table attribute each engine stage's time to
-	// the restriction shape that incurred it. The name is only built when
-	// the collector is on, keeping the disabled path allocation-free.
-	eval := func(i int, inner logic.CheckOptions) *logic.Counterexample {
-		name := ""
-		if obs.Enabled() {
-			name = "restriction " + rs[i].Owner + "/" + rs[i].Name
-		}
-		ctx, sp := obs.StartSpan(inner.Ctx, name)
-		inner.Ctx = ctx
-		cx := logic.Holds(rs[i].F, c, inner)
-		sp.End()
-		return cx
-	}
 	// Cancellation leaves the remaining entries nil — indistinguishable
 	// from "holds" in the returned slice, so callers that must tell the
 	// difference consult ctx.Err(), as with every partial result here.
-	done := logic.Done(opts.Check.Ctx)
-	w := logic.Workers(opts.Check.Parallelism, len(rs))
-	if w <= 1 {
-		// Sequential path: stop at the violation budget like the historical
-		// code did (later restrictions are simply never evaluated).
-		budget := opts.MaxViolations
-		found := 0
-		for i := range rs {
-			if logic.Cancelled(done) {
-				break
+	done := logic.Done(opts.Ctx)
+	w := logic.Workers(opts.Parallelism, len(rs))
+	inner := opts
+	if w > 1 {
+		inner.Parallelism = 1
+	}
+	var next atomic.Int64
+	work := func() {
+		for !logic.Cancelled(done) {
+			i := int(next.Add(1) - 1)
+			if i >= len(rs) {
+				return
 			}
-			if !skip(i) && !holds(i) {
-				cxs[i] = eval(i, opts.Check)
-			}
-			if cxs[i] != nil || skip(i) {
-				found++
-				if budget > 0 && found >= budget {
-					break
-				}
-			}
+			cxs[i] = holds(rs[i], c, inner)
 		}
+	}
+	if w == 1 {
+		// A lone worker runs on the caller's goroutine: starting one
+		// would add scheduler wake-ups to every small check.
+		work()
 		return cxs
 	}
-	inner := opts.Check
-	inner.Parallelism = 1
-	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(w)
 	for k := 0; k < w; k++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if logic.Cancelled(done) {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(rs) {
-					return
-				}
-				if skip(i) || holds(i) {
-					continue
-				}
-				cxs[i] = eval(i, inner)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
 	return cxs
 }
 
-func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation) bool) bool {
+// holds runs one restriction under its own span, so the trace and the
+// per-restriction stats table attribute each engine stage's time to the
+// restriction shape that incurred it. The name is only built when the
+// collector is on, keeping the disabled path allocation-free.
+func holds(r spec.OwnedRestriction, c *core.Computation, opts logic.CheckOptions) *logic.Counterexample {
+	name := ""
+	if obs.Enabled() {
+		name = "restriction " + r.Owner + "/" + r.Name
+	}
+	ctx, sp := obs.StartSpan(opts.Ctx, name)
+	opts.Ctx = ctx
+	cx := logic.Holds(r.F, c, opts)
+	sp.End()
+	return cx
+}
+
+func checkEvents(s *spec.Spec, c *core.Computation, add func(Violation)) {
 	for _, e := range c.Events() {
 		d, ok := s.Element(e.Element)
 		if !ok {
-			if !add(Violation{
+			add(Violation{
 				Kind:    UndeclaredElement,
 				Message: fmt.Sprintf("event %s occurs at undeclared element %s", e.Name(), e.Element),
-			}) {
-				return false
-			}
+			})
 			continue
 		}
 		ec, ok := d.EventDecl(e.Class)
 		if !ok {
-			if !add(Violation{
+			add(Violation{
 				Kind:    UndeclaredClass,
 				Message: fmt.Sprintf("event %s has undeclared class %s at element %s", e.Name(), e.Class, e.Element),
-			}) {
-				return false
-			}
+			})
 			continue
 		}
 		for p := range e.Params {
 			if !ec.HasParam(p) {
-				if !add(Violation{
+				add(Violation{
 					Kind:    UndeclaredParam,
 					Message: fmt.Sprintf("event %s carries undeclared parameter %s", e.Name(), p),
-				}) {
-					return false
-				}
+				})
 			}
 		}
 	}
-	return true
 }
 
-func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation) bool) bool {
+func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation)) {
 	static, err := s.Universe()
 	if err != nil {
-		return add(Violation{Kind: IllegalEnable, Message: "invalid group structure: " + err.Error()})
+		add(Violation{Kind: IllegalEnable, Message: "invalid group structure: " + err.Error()})
+		return
 	}
 	dynamic := core.HasDynamicChanges(c)
 	for _, e := range c.Events() {
@@ -353,21 +253,19 @@ func checkEnables(s *spec.Spec, c *core.Computation, add func(Violation) bool) b
 			// footnote: structure changes are themselves events).
 			u, err = core.UniverseAt(static, c, e.ID)
 			if err != nil {
-				return add(Violation{Kind: IllegalEnable, Message: err.Error()})
+				add(Violation{Kind: IllegalEnable, Message: err.Error()})
+				return
 			}
 		}
 		for _, succ := range c.Enabled(e.ID) {
 			tgt := c.Event(succ)
 			if !u.MayEnable(e.Element, tgt.Element, tgt.Class) {
-				if !add(Violation{
+				add(Violation{
 					Kind: IllegalEnable,
 					Message: fmt.Sprintf("%s may not enable %s: no access from %s to %s",
 						e.Name(), tgt.Name(), e.Element, tgt.Element),
-				}) {
-					return false
-				}
+				})
 			}
 		}
 	}
-	return true
 }

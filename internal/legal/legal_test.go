@@ -207,22 +207,6 @@ func TestSkipRestrictions(t *testing.T) {
 	}
 }
 
-func TestMaxViolations(t *testing.T) {
-	s := bufferSpec(t)
-	b := core.NewBuilder()
-	b.Event("ghost1", "X", nil)
-	b.Event("ghost2", "X", nil)
-	b.Event("ghost3", "X", nil)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Check(s, c, Options{MaxViolations: 2})
-	if len(res.Violations) != 2 {
-		t.Errorf("got %d violations, want 2 (capped)", len(res.Violations))
-	}
-}
-
 func TestThreadViolationDetected(t *testing.T) {
 	s := bufferSpec(t)
 	s.AddThread(thread.Type{Name: "pi", Path: []core.ClassRef{

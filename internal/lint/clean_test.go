@@ -41,8 +41,11 @@ func TestShippedSpecsLintClean(t *testing.T) {
 				t.Errorf("%s: unexpected lint error: %s", name, d)
 			}
 		}
-		if doomed := res.Doomed(); len(doomed) > 0 {
-			t.Errorf("%s: %d constraints marked doomed in a known-good spec", name, len(doomed))
+		for _, ec := range res.Constraints {
+			if ec.Doomed {
+				t.Errorf("%s: constraint %s of %s/%s marked doomed in a known-good spec",
+					name, ec, ec.Owner, ec.Restriction)
+			}
 		}
 	}
 }

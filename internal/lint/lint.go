@@ -4,10 +4,7 @@
 // statically — declaration consistency, satisfiability of the
 // prerequisite structure, access legality of required enable edges — and
 // reports them as structured diagnostics with stable codes, without
-// enumerating a single history. The legality checker uses the same
-// analysis as a cheap pre-pass (legal.Options.Prelint) to short-circuit
-// restrictions that can be refuted without the exponential lattice
-// enumeration.
+// enumerating a single history.
 package lint
 
 import (
@@ -159,20 +156,6 @@ func (r *Result) bySeverity(s Severity) []Diagnostic {
 	return out
 }
 
-// Doomed returns the constraints the analysis proved statically
-// unsatisfiable (GEM004/GEM005): any computation containing an event of
-// the target class without a matching source enabler violates the owning
-// restriction.
-func (r *Result) Doomed() []EnableConstraint {
-	var out []EnableConstraint
-	for _, c := range r.Constraints {
-		if c.Doomed {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Analyze runs every analysis over the specification IR. Diagnostics
 // carry no positions; use AnalyzeSource for position-annotated output.
 func Analyze(s *spec.Spec) *Result { return analyze(s, nil) }
@@ -240,9 +223,8 @@ func SortDiagnostics(ds []Diagnostic) {
 
 var specCache sync.Map // *spec.Spec -> *Result
 
-// ForSpec memoizes Analyze per Spec value; the legality checker calls it
-// once per computation checked, so the analysis must be free after the
-// first call.
+// ForSpec memoizes Analyze per Spec value, so repeated calls for one
+// specification cost nothing after the first.
 func ForSpec(s *spec.Spec) *Result {
 	if r, ok := specCache.Load(s); ok {
 		return r.(*Result)

@@ -34,39 +34,6 @@ func (ec EnableConstraint) String() string {
 	return fmt.Sprintf("%s -> %s", refsString(ec.Sources), ec.Target)
 }
 
-// MissingEnabler returns an event of the computation that matches Target
-// but has no direct enabler matching any Source — a witness that the
-// owning restriction's exactly-one-enabler conjunct fails on this
-// computation — or nil when every target event is properly enabled (or
-// none exists). This is the activation test the legality checker's
-// Prelint pre-pass uses: it re-derives, in O(events²) instead of via the
-// history lattice, exactly the verdict the dynamic check would reach for
-// a doomed constraint.
-func (ec EnableConstraint) MissingEnabler(c *core.Computation) *core.Event {
-	for _, e := range c.Events() {
-		if !ec.Target.Matches(e) {
-			continue
-		}
-		enabled := false
-		for _, pid := range c.Enablers(e.ID) {
-			p := c.Event(pid)
-			for _, src := range ec.Sources {
-				if src.Matches(p) {
-					enabled = true
-					break
-				}
-			}
-			if enabled {
-				break
-			}
-		}
-		if !enabled {
-			return e
-		}
-	}
-	return nil
-}
-
 // conjuncts applies fn to every conjunct of f, descending through And
 // and Box — the positive contexts in which a constraint must hold
 // whenever the formula does.

@@ -53,18 +53,8 @@ func (cx *Counterexample) Verify() error {
 	return nil
 }
 
-// CheckOptions bound the cost of checking.
+// CheckOptions configure how a check runs.
 type CheckOptions struct {
-	// MaxSequences caps the number of complete valid history sequences
-	// examined for temporal formulae (0 = unlimited).
-	MaxSequences int
-	// MaxHistories caps the number of histories examined for history
-	// (invariant) formulae (0 = unlimited).
-	MaxHistories int
-	// LinearOnly restricts sequence checking to step-size-one sequences
-	// (linear extensions). Used by the E10 ablation; full GEM semantics
-	// checks all valid history sequences.
-	LinearOnly bool
 	// Parallelism is the worker count used when independent checks are
 	// fanned out: HoldsAll and HoldsEvery across formulas/computations,
 	// legal.Check across restrictions, verify.CheckAll across
@@ -89,9 +79,7 @@ type CheckOptions struct {
 	Ctx context.Context
 	// Cache, when non-nil, is consulted before each top-level formula
 	// evaluation and written behind on a miss (lookup-before-evaluate).
-	// It is bypassed whenever the options are not Cacheable (enumeration
-	// budgets or the LinearOnly ablation change the checked semantics),
-	// and nothing is written after the context has been cancelled — a
+	// Nothing is written after the context has been cancelled — a
 	// truncated evaluation must never be persisted as a verdict.
 	Cache VerdictCache
 }
@@ -108,26 +96,24 @@ type CheckOptions struct {
 //
 // It returns nil when the restriction holds, or a counterexample.
 //
-// With opts.Cache set (and the options Cacheable), the persistent store
-// is consulted first and written behind on a miss; the cache is keyed at
-// the whole-formula level, so the recursive And-split below always
-// evaluates with the cache cleared.
+// With opts.Cache set, the persistent store is consulted first and
+// written behind on a miss; the cache is keyed at the whole-formula
+// level, so the recursive And-split below always evaluates with the
+// cache cleared.
 func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	if cache := opts.Cache; cache != nil {
 		opts.Cache = nil
-		if opts.Cacheable() {
-			if cx, ok := cache.Lookup(f, c, opts.Engine); ok {
-				return cx
-			}
-			cx := Holds(f, c, opts)
-			// A cancelled context may have truncated the evaluation (the
-			// engines poll it between units of work); a truncated "pass"
-			// is not a verdict, so skip the write-behind entirely.
-			if !Cancelled(Done(opts.Ctx)) {
-				cache.Store(f, c, opts.Engine, cx)
-			}
+		if cx, ok := cache.Lookup(f, c, opts.Engine); ok {
 			return cx
 		}
+		cx := Holds(f, c, opts)
+		// A cancelled context may have truncated the evaluation (the
+		// engines poll it between units of work); a truncated "pass" is
+		// not a verdict, so skip the write-behind entirely.
+		if !Cancelled(Done(opts.Ctx)) {
+			cache.Store(f, c, opts.Engine, cx)
+		}
+		return cx
 	}
 	// Universal checking distributes over conjunction; checking conjuncts
 	// separately lets each pick its cheapest sound strategy (notably the
@@ -146,16 +132,12 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 		// temporal formula over the history lattice instead of the
 		// exponentially larger sequence set, decides most of them (pass
 		// and fail alike, extracting its own violating sequence on
-		// failure), and reports "inconclusive" for the rest. It is
-		// bypassed under enumeration budgets and the LinearOnly ablation,
-		// which change the checked semantics.
-		useLattice := opts.Engine != EngineSeq && !opts.LinearOnly &&
-			opts.MaxSequences == 0 && opts.MaxHistories == 0
+		// failure), and reports "inconclusive" for the rest.
 		// A forced EngineLattice routes every temporal formula through
 		// the fixpoint evaluator first; only an inconclusive outcome
 		// (observable as the engine.lattice.fallback counter) delegates
 		// to the sequence strategies.
-		if useLattice && opts.Engine == EngineLattice {
+		if opts.Engine == EngineLattice {
 			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
 				return cx
 			}
@@ -171,14 +153,14 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 		// lattice engine's step-DAG bitsets, so auto keeps it first.
 		if box, ok := f.(Box); ok && !HasTemporal(box.F) {
 			_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
-			cx := holdsOnHistories(box.F, c, opts.MaxHistories)
+			cx := holdsOnHistories(box.F, c)
 			sp.End()
 			return cx
 		}
 		// EngineAuto: a decided lattice run (either verdict) settles the
 		// check; only inconclusive bounds fall through to the strategies
 		// below.
-		if useLattice {
+		if opts.Engine != EngineSeq {
 			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
 				return cx
 			}
@@ -189,19 +171,19 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 		// over pairs of histories h1 ⊑ h2: immediate parts of φ read h1,
 		// inner □ bodies must hold at every h2 ⊇ h1. Every such pair
 		// occurs in some complete valid history sequence and vice versa.
-		if box, ok := f.(Box); ok && !opts.LinearOnly && pairCheckable(box.F, true) {
+		if box, ok := f.(Box); ok && pairCheckable(box.F, true) {
 			_, sp := obs.StartSpan(opts.Ctx, "engine.pairs")
-			cx := holdsOnHistoryPairs(box.F, c, opts.MaxHistories)
+			cx := holdsOnHistoryPairs(box.F, c)
 			sp.End()
 			return cx
 		}
 		_, sp := obs.StartSpan(opts.Ctx, "engine.seq")
-		cx := holdsOnSequences(f, c, opts)
+		cx := holdsOnSequences(f, c)
 		sp.End()
 		return cx
 	case HasHistoryPredicate(f):
 		_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
-		cx := holdsOnHistories(f, c, opts.MaxHistories)
+		cx := holdsOnHistories(f, c)
 		sp.End()
 		return cx
 	default:
@@ -245,23 +227,9 @@ func HoldsAtFull(f Formula, c *core.Computation) *Counterexample {
 	return nil
 }
 
-func holdsOnHistories(f Formula, c *core.Computation, limit int) *Counterexample {
-	if limit > 0 {
-		// A history budget bounds the cost of this one check; bypass the
-		// shared lattice, which always enumerates fully.
-		var cx *Counterexample
-		history.Enumerate(c, limit, func(h history.History) bool {
-			if !f.Eval(NewEnv(h)) {
-				cx = &Counterexample{Formula: f, History: h, Comp: c}
-				return false
-			}
-			return true
-		})
-		return cx
-	}
+func holdsOnHistories(f Formula, c *core.Computation) *Counterexample {
 	// The lattice is enumerated once per computation and shared across
-	// every restriction checked against it (same enumeration order, so
-	// the same counterexample is found).
+	// every restriction checked against it.
 	for _, h := range history.Shared(c).Histories() {
 		if !f.Eval(NewEnv(h)) {
 			return &Counterexample{Formula: f, History: h, Comp: c}
@@ -270,20 +238,15 @@ func holdsOnHistories(f Formula, c *core.Computation, limit int) *Counterexample
 	return nil
 }
 
-func holdsOnSequences(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
+func holdsOnSequences(f Formula, c *core.Computation) *Counterexample {
 	var cx *Counterexample
-	examine := func(s history.Sequence) bool {
+	history.EnumerateComplete(c, 0, func(s history.Sequence) bool {
 		if !f.Eval(NewSeqEnv(s, 0)) {
 			cx = &Counterexample{Formula: f, History: s[0], Seq: s, Comp: c}
 			return false
 		}
 		return true
-	}
-	if opts.LinearOnly {
-		history.EnumerateLinear(c, opts.MaxSequences, examine)
-	} else {
-		history.EnumerateComplete(c, opts.MaxSequences, examine)
-	}
+	})
 	return cx
 }
 
@@ -343,29 +306,9 @@ func pairCheckable(f Formula, positive bool) bool {
 // two-history sequence (h1, h2): immediate parts of f read h1, inner □
 // bodies are required at both h1 and h2. Sound and complete for
 // pairCheckable formulas.
-func holdsOnHistoryPairs(f Formula, c *core.Computation, limit int) *Counterexample {
-	if limit > 0 {
-		var all []history.History
-		history.Enumerate(c, limit, func(h history.History) bool {
-			all = append(all, h)
-			return true
-		})
-		for _, h1 := range all {
-			for _, h2 := range all {
-				if !h1.Set().SubsetOf(h2.Set()) {
-					continue
-				}
-				seq := history.Sequence{h1, h2}
-				if !f.Eval(NewSeqEnv(seq, 0)) {
-					return &Counterexample{Formula: Box{F: f}, History: h1, Seq: seq, Comp: c}
-				}
-			}
-		}
-		return nil
-	}
+func holdsOnHistoryPairs(f Formula, c *core.Computation) *Counterexample {
 	// The ⊑ pair relation is memoized on the computation alongside the
-	// lattice itself; Pairs visits pairs in the order the nested loop
-	// above would, so the counterexample is identical.
+	// lattice itself.
 	var cx *Counterexample
 	history.Shared(c).Pairs(func(h1, h2 history.History) bool {
 		seq := history.Sequence{h1, h2}

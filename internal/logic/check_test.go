@@ -189,6 +189,21 @@ func TestBoxDiamondOverSequences(t *testing.T) {
 	if cx := Holds(safety, c, CheckOptions{}); cx != nil {
 		t.Errorf("safety implication should hold: %v", cx.Error())
 	}
+	// "Eventually exactly one of e2/e3 has occurred" holds on both linear
+	// extensions (whichever of the pair comes first) but not on the vhs
+	// whose simultaneous step adds e2 and e3 together.
+	occ2 := Exists{Var: "x", Ref: core.Ref("EL2", "E"), Body: Occurred{Var: "x"}}
+	occ3 := Exists{Var: "y", Ref: core.Ref("EL3", "E"), Body: Occurred{Var: "y"}}
+	exactlyOne := Diamond{F: And{Or{occ2, occ3}, Not{F: And{occ2, occ3}}}}
+	history.EnumerateLinear(c, 0, func(s history.Sequence) bool {
+		if !exactlyOne.Eval(NewSeqEnv(s, 0)) {
+			t.Errorf("exactly-one-of-e2/e3 fails on the linear extension %v", s)
+		}
+		return true
+	})
+	if cx := Holds(exactlyOne, c, CheckOptions{}); cx == nil {
+		t.Error("the simultaneous step must refute exactly-one-of-e2/e3")
+	}
 	_ = ids
 }
 
@@ -237,26 +252,6 @@ func TestHoldsAllReportsIndex(t *testing.T) {
 	idx, cx = HoldsAll([]Formula{TrueF{}}, c, CheckOptions{})
 	if idx != -1 || cx != nil {
 		t.Errorf("all-pass HoldsAll = (%d, %v)", idx, cx)
-	}
-}
-
-func TestLinearOnlyOption(t *testing.T) {
-	c, _ := diamondComp(t)
-	// A formula distinguishing vhs from linear semantics: "eventually
-	// exactly one of e2/e3 has occurred". True on every linear extension
-	// (whichever of the pair is added first), but false on the vhs whose
-	// simultaneous step adds e2 and e3 "at the same time".
-	occ2 := Exists{Var: "x", Ref: core.Ref("EL2", "E"), Body: Occurred{Var: "x"}}
-	occ3 := Exists{Var: "y", Ref: core.Ref("EL3", "E"), Body: Occurred{Var: "y"}}
-	f := Diamond{F: And{
-		Or{occ2, occ3},
-		Not{F: And{occ2, occ3}},
-	}}
-	if cx := Holds(f, c, CheckOptions{LinearOnly: true}); cx != nil {
-		t.Errorf("under linear semantics the formula holds: %v", cx.Error())
-	}
-	if cx := Holds(f, c, CheckOptions{}); cx == nil {
-		t.Error("under full vhs semantics the simultaneous step refutes it")
 	}
 }
 

@@ -113,7 +113,7 @@ const (
 	EngineLattice
 )
 
-// String implements flag.Value-style rendering.
+// String implements flag.Value.
 func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
@@ -125,6 +125,12 @@ func (e Engine) String() string {
 	default:
 		return fmt.Sprintf("engine(%d)", int(e))
 	}
+}
+
+// Set implements flag.Value with ParseEngine.
+func (e *Engine) Set(s string) (err error) {
+	*e, err = ParseEngine(s)
+	return err
 }
 
 // ParseEngine parses an -engine flag value.

@@ -3,7 +3,6 @@ package logic
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -418,31 +417,5 @@ func TestParseEngineRoundTrip(t *testing.T) {
 	}
 	if got := Engine(99).String(); got != "engine(99)" {
 		t.Errorf("out-of-range String = %q", got)
-	}
-}
-
-// TestLatticeEngineBudgetsBypass: enumeration budgets and the LinearOnly
-// ablation change the checked semantics, so the lattice engine must not
-// engage under them — the option structs must behave exactly as before.
-func TestLatticeEngineBudgetsBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := randomComp(rng, 6)
-	formula := Box{F: Diamond{F: Occurred{Var: "e"}}}
-	bound := ForAll{Var: "e", Ref: core.Ref("", "X"), Body: formula}
-	for _, opts := range []CheckOptions{
-		{Engine: EngineLattice, MaxSequences: 3},
-		{Engine: EngineLattice, MaxHistories: 3},
-		{Engine: EngineLattice, LinearOnly: true},
-	} {
-		seq := opts
-		seq.Engine = EngineSeq
-		got := Holds(bound, c, opts)
-		want := Holds(bound, c, seq)
-		if (got == nil) != (want == nil) {
-			t.Errorf("budgeted check diverged between engines under %+v", opts)
-		}
-		if got != nil && want != nil && !reflect.DeepEqual(got.History, want.History) {
-			t.Errorf("budgeted counterexample diverged under %+v", opts)
-		}
 	}
 }

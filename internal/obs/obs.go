@@ -156,7 +156,7 @@ func acquireTid() int32 {
 }
 
 // Count adds delta to the named counter (total histories enumerated,
-// prelint short-circuits, …). No-op when disabled.
+// store hits, …). No-op when disabled.
 func Count(name string, delta int64) {
 	if !enabled.Load() {
 		return

@@ -17,7 +17,7 @@ import (
 )
 
 // specHashes memoizes gemlang.HashSpec per live spec pointer: whole-spec
-// hashes key sat and guard records and are requested once per checked
+// hashes key sat records and are requested once per checked
 // computation, but a spec's canonical rendering never changes.
 var specHashes sync.Map // *spec.Spec → string
 
@@ -96,7 +96,9 @@ func (s *Store) Store(f logic.Formula, c *core.Computation, engine logic.Engine,
 	s.persistLattice(c)
 }
 
-// LookupGuards implements legal.GuardCache.
+// LookupGuards implements legal.GuardCache. No program code calls it:
+// the benchmark's store wrapper still forwards it, and it goes with the
+// next revision of that benchmark.
 func (s *Store) LookupGuards(sp *spec.Spec, c *core.Computation) ([]bool, bool) {
 	if s == nil || s.mode == Off {
 		return nil, false
@@ -115,7 +117,9 @@ func (s *Store) LookupGuards(sp *spec.Spec, c *core.Computation) ([]bool, bool) 
 	return hold, true
 }
 
-// StoreGuards implements legal.GuardCache.
+// StoreGuards implements legal.GuardCache. No program code calls it:
+// the benchmark's store wrapper still forwards it, and it goes with the
+// next revision of that benchmark.
 func (s *Store) StoreGuards(sp *spec.Spec, c *core.Computation, hold []bool) {
 	if s == nil || s.mode != ReadWrite {
 		return
@@ -373,6 +377,8 @@ func matchFormula(f logic.Formula, wantHash string) logic.Formula {
 }
 
 // ---- guards payload codec ----
+//
+// Only LookupGuards and StoreGuards use it; it goes with them.
 
 // Guard payload: uvarint length, then the bits packed LSB-first. Length
 // zero round-trips as a nil vector ("no guard fires").

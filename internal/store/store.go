@@ -1,15 +1,15 @@
 // Package store implements the persistent, content-addressed result
 // cache behind incremental checking: an on-disk map from (canonical spec
 // hash × computation fingerprint × engine × versions) to restriction
-// verdict records, fast-path guard vectors, whole-check sat records, and
-// serialized history-lattice artifacts. Keys are content hashes of
+// verdict records, whole-check sat records, and serialized
+// history-lattice artifacts. Keys are content hashes of
 // canonical forms (gemlang.HashFormula/HashSpec, core.Fingerprint), so
 // invalidation is automatic and restriction-granular: editing one
 // restriction of a spec changes only that restriction's formula hash,
 // and every other restriction keeps hitting.
 //
-// The Store satisfies logic.VerdictCache, legal.GuardCache, and
-// verify.SatCache structurally — those packages define the interfaces,
+// The Store satisfies logic.VerdictCache and verify.SatCache
+// structurally — those packages define the interfaces,
 // this package implements them without importing them, so the engine
 // layers stay store-free.
 //

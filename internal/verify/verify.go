@@ -308,13 +308,12 @@ func (r Result) Error() error {
 // legality pass; the returned Result is the passing zero Result (nil
 // Projection), which callers must treat as sat-only. On a miss the
 // check runs normally — restriction verdicts flowing through
-// opts.Cache, guard vectors through the GuardCache — and a passing,
-// uncancelled result is written behind.
+// opts.Cache — and a passing, uncancelled result is written behind.
 func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts logic.CheckOptions) Result {
 	obs.Count("sat.checks", 1)
 	var sat SatCache
 	var corrKey string
-	if opts.Cache != nil && opts.Cacheable() {
+	if opts.Cache != nil {
 		if s, ok := opts.Cache.(SatCache); ok {
 			sat = s
 			corrKey = corr.CanonicalKey()
@@ -328,17 +327,7 @@ func Check(problem *spec.Spec, c *core.Computation, corr Correspondence, opts lo
 		return Result{ProjectionErr: err}
 	}
 	thread.Apply(proj.Comp, problem.Threads()...)
-	// Static pre-passes, both verdict-preserving: Prelint short-circuits
-	// restrictions the lint analyzer proved statically unsatisfiable;
-	// FastPath skips enumeration for restrictions the deep analyzer's
-	// emptiness guards prove to hold on this projection.
-	lopts := legal.Options{Check: opts, Prelint: true, FastPath: true}
-	if opts.Cache != nil {
-		if g, ok := opts.Cache.(legal.GuardCache); ok && opts.Cacheable() {
-			lopts.Guards = g
-		}
-	}
-	res := legal.Check(problem, proj.Comp, lopts)
+	res := legal.Check(problem, proj.Comp, legal.Options{Check: opts})
 	r := Result{Projection: proj, Legality: res}
 	// Write the sat record only for a genuine, complete pass: a
 	// cancelled context can truncate legal.Check into an empty (passing-

@@ -103,6 +103,14 @@ awk '{$4=""; print}' "$tracedir/warm.out" >"$tracedir/warm.verdicts"
 diff "$tracedir/cold.verdicts" "$tracedir/warm.verdicts"
 # ...and a byte-identical SARIF log.
 cmp "$tracedir/cold.sarif" "$tracedir/warm.sarif"
+echo "==> gemverify -j1 and -j4: identical verdicts and byte-identical SARIF"
+go build -o "$tracedir/gemverify" ./cmd/gemverify
+"$tracedir/gemverify" -j 1 -cache off -sarif "$tracedir/j1.sarif" >"$tracedir/verify.j1.out"
+"$tracedir/gemverify" -j 4 -cache off -sarif "$tracedir/j4.sarif" >"$tracedir/verify.j4.out"
+awk '{$4=""; print}' "$tracedir/verify.j1.out" >"$tracedir/verify.j1.verdicts"
+awk '{$4=""; print}' "$tracedir/verify.j4.out" >"$tracedir/verify.j4.verdicts"
+diff "$tracedir/verify.j1.verdicts" "$tracedir/verify.j4.verdicts"
+cmp "$tracedir/j1.sarif" "$tracedir/j4.sarif"
 echo "==> mutation campaign gate: fixed seed, zero findings, -j1/-j4 byte-identical"
 # A fixed-seed 250-mutant campaign must complete with zero engine
 # disagreements and zero shrinker validation failures (gemmut exits
