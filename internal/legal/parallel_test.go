@@ -63,38 +63,68 @@ func randomComputation(t *testing.T, s *spec.Spec, rng *rand.Rand) *core.Computa
 	return c
 }
 
-// TestParallelismAgreesOnRandomComputations: checking restrictions on one
-// worker and on four yields identical violation lists — same kinds,
-// messages, order and counterexamples — on the shipped problem specs'
-// own computations (which must stay legal) and on 60 random computations
-// per spec, most of them illegal in varied ways.
-func TestParallelismAgreesOnRandomComputations(t *testing.T) {
+// checkVariantsAgree checks c against s with the default options and
+// with every option set that must not change a verdict: the sequence and
+// lattice temporal engines, and four workers. Each must reproduce the
+// default verdict and failing-restriction set; the four-worker run must
+// also reproduce the kinds, messages, order and counterexamples exactly.
+// It returns the default result.
+func checkVariantsAgree(t *testing.T, name string, s *spec.Spec, c *core.Computation) legal.Result {
+	t.Helper()
+	plain := legal.Check(s, c, legal.Options{Check: logic.CheckOptions{Parallelism: 1}})
+	for _, v := range []struct {
+		name string
+		opts logic.CheckOptions
+	}{
+		{"seq", logic.CheckOptions{Engine: logic.EngineSeq}},
+		{"lattice", logic.CheckOptions{Engine: logic.EngineLattice}},
+	} {
+		got := legal.Check(s, c, legal.Options{Check: v.opts})
+		if plain.Legal() != got.Legal() || !reflect.DeepEqual(violationKeys(plain), violationKeys(got)) {
+			t.Fatalf("%s/%s: engine changed the violation set:\nplain: %v\ngot:   %v",
+				name, v.name, violationKeys(plain), violationKeys(got))
+		}
+	}
+	par := legal.Check(s, c, legal.Options{Check: logic.CheckOptions{Parallelism: 4}})
+	if !reflect.DeepEqual(plain, par) {
+		t.Fatalf("%s: parallel check diverged:\nj1: %v\nj4: %v", name, plain.Violations, par.Violations)
+	}
+	return plain
+}
+
+// The two tests below keep the names they had when the variants also
+// included a guard fast path that skipped restriction enumerations.
+
+// TestFastPathAgreesOnShippedSpecs: the shipped problem specs' own
+// computations stay legal under every option variant.
+func TestFastPathAgreesOnShippedSpecs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	agree := func(name string, s *spec.Spec, c *core.Computation) legal.Result {
-		t.Helper()
-		seq := legal.Check(s, c, legal.Options{Check: logic.CheckOptions{Parallelism: 1}})
-		par := legal.Check(s, c, legal.Options{Check: logic.CheckOptions{Parallelism: 4}})
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("%s: parallel check diverged:\nj1: %v\nj4: %v", name, seq.Violations, par.Violations)
-		}
-		return seq
-	}
-	sBuf, cBuf := buildBoundedBuf(t)
-	sRW, cRW := buildRW(t)
-	if res := agree("boundedbuf", sBuf, cBuf); !res.Legal() {
+	s, c := buildBoundedBuf(t)
+	if res := checkVariantsAgree(t, "boundedbuf", s, c); !res.Legal() {
 		t.Fatalf("boundedbuf judged illegal: %v", res.Violations)
 	}
-	if res := agree("rw", sRW, cRW); !res.Legal() {
+	s, c = buildRW(t)
+	if res := checkVariantsAgree(t, "rw", s, c); !res.Legal() {
 		t.Fatalf("rw judged illegal: %v", res.Violations)
 	}
+}
+
+// TestFastPathAgreesOnRandomComputations: over 60 random computations per
+// shipped problem spec, most of them illegal in varied ways, every option
+// variant yields the default verdict and violation set.
+func TestFastPathAgreesOnRandomComputations(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	sBuf, _ := buildBoundedBuf(t)
+	sRW, _ := buildRW(t)
 	rng := rand.New(rand.NewSource(20260806))
 	for _, tc := range []struct {
 		name string
 		s    *spec.Spec
 	}{{"boundedbuf", sBuf}, {"rw", sRW}} {
 		for i := 0; i < 60; i++ {
-			agree(tc.name, tc.s, randomComputation(t, tc.s, rng))
+			checkVariantsAgree(t, tc.name, tc.s, randomComputation(t, tc.s, rng))
 		}
 	}
 }
