@@ -3,6 +3,7 @@ package ada
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"gem/internal/core"
 	"gem/internal/explore"
@@ -238,10 +239,13 @@ func (m *machine) consumeStmt(task int) {
 	top.idx++
 }
 
+// transition is one schedulable step of task. It names the statement it
+// runs by task and select alternative, so equal transitions are the
+// same step.
 type transition struct {
-	kind   string // "step", "accept", "selectaccept", "selectelse"
-	task   int
-	accept Accept
+	kind string // "step", "accept", "selectaccept", "selectelse"
+	task int
+	alt  int // selectaccept: the alternative accepted
 }
 
 // Transitions partitions schedulable steps for partial-order reduction.
@@ -274,17 +278,17 @@ func (m *machine) Transitions() (eager *transition, branches []transition) {
 			ts = append(ts, transition{kind: "step", task: i})
 		case Accept:
 			if len(m.queues[i][s.Entry]) > 0 {
-				ts = append(ts, transition{kind: "accept", task: i, accept: s})
+				ts = append(ts, transition{kind: "accept", task: i})
 			}
 		case Select:
 			env := &evalEnv{vars: t.vars, args: t.args}
 			ready := false
-			for _, alt := range s.Alts {
+			for a, alt := range s.Alts {
 				if alt.Guard != nil && alt.Guard.eval(env) == 0 {
 					continue
 				}
 				if len(m.queues[i][alt.Accept.Entry]) > 0 {
-					ts = append(ts, transition{kind: "selectaccept", task: i, accept: alt.Accept})
+					ts = append(ts, transition{kind: "selectaccept", task: i, alt: a})
 					ready = true
 				}
 			}
@@ -296,10 +300,81 @@ func (m *machine) Transitions() (eager *transition, branches []transition) {
 	return nil, ts
 }
 
+// Independent reports whether two branches commute. The branches are
+// entry calls, accepts, select choices and operations at external
+// elements; everything else runs eagerly. Transitions of one task never
+// commute. Calls to one entry are ordered by its FIFO queue, and a call
+// to a task can take away its select's else part. An accept serves the
+// head of a non-empty queue, so a call to the same entry, which joins
+// at the tail, commutes with it. Two operations at one external element
+// are ordered there, and an operation at an element in another task's
+// namespace is taken to touch that task.
+func (m *machine) Independent(a, b transition) bool {
+	if a.task == b.task {
+		return false
+	}
+	ca, okA := m.entryCall(a)
+	cb, okB := m.entryCall(b)
+	if okA && (okB && ca.Task == cb.Task && ca.Entry == cb.Entry ||
+		b.kind == "selectelse" && m.byName[ca.Task] == b.task) ||
+		okB && a.kind == "selectelse" && m.byName[cb.Task] == a.task {
+		return false
+	}
+	ea, eb := m.extElement(a), m.extElement(b)
+	switch {
+	case ea != "" && eb != "":
+		return ea != eb
+	case ea != "":
+		return !m.owns(b.task, ea)
+	case eb != "":
+		return !m.owns(a.task, eb)
+	}
+	return true
+}
+
+// owns reports whether elem is task's element or lies in its namespace,
+// where its entries and variables are.
+func (m *machine) owns(task int, elem string) bool {
+	name := m.prog.Tasks[task].Name
+	return elem == name || strings.HasPrefix(elem, name+".")
+}
+
+// entryCall returns the call t makes, if t is an entry call.
+func (m *machine) entryCall(t transition) (EntryCall, bool) {
+	if t.kind != "step" {
+		return EntryCall{}, false
+	}
+	st, _ := m.currentStmt(t.task)
+	c, ok := st.(EntryCall)
+	return c, ok
+}
+
+// extElement returns the external element t operates on, or "" when t
+// is no operation at an external element.
+func (m *machine) extElement(t transition) string {
+	if t.kind != "step" {
+		return ""
+	}
+	st, _ := m.currentStmt(t.task)
+	if op, ok := st.(Op); ok {
+		return op.Element
+	}
+	return ""
+}
+
+// accept returns the Accept an accept or selectaccept transition runs.
+func (m *machine) accept(t transition) Accept {
+	st, _ := m.currentStmt(t.task)
+	if t.kind == "selectaccept" {
+		return st.(Select).Alts[t.alt].Accept
+	}
+	return st.(Accept)
+}
+
 func (m *machine) Apply(t transition) error {
 	switch t.kind {
 	case "accept", "selectaccept":
-		return m.beginRendezvous(t.task, t.accept)
+		return m.beginRendezvous(t.task, m.accept(t))
 	case "selectelse":
 		st, _ := m.currentStmt(t.task)
 		sel := st.(Select)

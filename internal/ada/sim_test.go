@@ -224,6 +224,50 @@ func TestSelectElseOnlyWhenNothingReady(t *testing.T) {
 	}
 }
 
+func TestSelectElseRacesEarlierCaller(t *testing.T) {
+	// The caller is listed before the server, so its call is the first
+	// branch explored. The else part must still be explored after it:
+	// the call takes the else part away, so the two do not commute.
+	prog := &Program{Tasks: []Task{
+		{
+			Name: "caller",
+			Body: []Stmt{EntryCall{Task: "server", Entry: "Ping"}},
+		},
+		{
+			Name:    "server",
+			Entries: []string{"Ping"},
+			Body: []Stmt{
+				Select{
+					Alts: []SelectAlt{{Accept: Accept{Entry: "Ping"}}},
+					Else: []Stmt{Op{Class: "NoCaller"}},
+				},
+			},
+		},
+	}}
+	runs, _, err := Explore(prog, ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, refused := 0, 0
+	for _, r := range runs {
+		if len(r.Comp.EventsOf(core.Ref(EntryElement("server", "Ping"), "AcceptStart"))) == 1 {
+			accepted++
+			if r.Deadlock {
+				t.Error("the rendezvous run deadlocked")
+			}
+		}
+		if len(r.Comp.EventsOf(core.Ref("server", "NoCaller"))) == 1 {
+			refused++
+			if !r.Deadlock {
+				t.Error("else-branch leaves the caller blocked forever: deadlock")
+			}
+		}
+	}
+	if len(runs) != 2 || accepted != 1 || refused != 1 {
+		t.Errorf("got %d runs, accepted=%d refused=%d; want one of each", len(runs), accepted, refused)
+	}
+}
+
 func TestTwoCallersFIFO(t *testing.T) {
 	prog := &Program{Tasks: []Task{
 		{

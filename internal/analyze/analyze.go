@@ -18,7 +18,6 @@ package analyze
 
 import (
 	"fmt"
-	"sync"
 
 	"gem/internal/gemlang"
 	"gem/internal/lint"
@@ -90,19 +89,6 @@ func AnalyzeMarked(s *spec.Spec, marks *gemlang.SourceMap) *Result {
 	a.checkRedundant(lr)
 	lint.SortDiagnostics(a.res.Deep)
 	return a.res
-}
-
-var specCache sync.Map // *spec.Spec -> *Result
-
-// ForSpec memoizes Analyze per Spec value, so repeated calls for one
-// specification cost nothing after the first.
-func ForSpec(s *spec.Spec) *Result {
-	if r, ok := specCache.Load(s); ok {
-		return r.(*Result)
-	}
-	r := Analyze(s)
-	specCache.Store(s, r)
-	return r
 }
 
 // deepAnalysis carries the shared state of one AnalyzeMarked run.

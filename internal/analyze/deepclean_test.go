@@ -34,19 +34,6 @@ func TestShippedSpecsDeepClean(t *testing.T) {
 	}
 }
 
-// TestForSpecMemoized: repeated calls must return the identical cached
-// result.
-func TestForSpecMemoized(t *testing.T) {
-	s, err := boundedbuf.ProblemSpec(boundedbuf.Workload{
-		Producers: 1, Consumers: 1, ItemsPerProducer: 1, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analyze.ForSpec(s) != analyze.ForSpec(s) {
-		t.Error("ForSpec did not memoize the analysis result")
-	}
-}
-
 // BenchmarkDeepAnalyze measures a full deep analysis of the bounded
 // buffer problem spec (graph build, producibility fixpoint, deadlock
 // SCC, redundancy scan, guard computation).

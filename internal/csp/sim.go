@@ -171,21 +171,21 @@ type offer struct {
 	proc    int
 	send    bool
 	partner int
-	value   int64  // for sends
-	recvVar string // for receives
-	// selecting this offer commits the process to this continuation:
-	branchBody []Stmt // non-nil when the offer comes from an Alt branch
-	isAlt      bool
+	branch  int // the Alt branch offering it, -1 for a plain Send or Recv
 }
 
-// transition is either a local step or a matched communication.
+// transition is either a local step or a matched communication. It
+// names the statement it runs by process and Alt branch, so equal
+// transitions are the same step.
 type transition struct {
 	kind string // "local", "comm", "altlocal"
+	// proc is the stepping process; for comm the sender.
 	proc int
-	out  offer // for comm: the sender side
-	inp  offer // for comm: the receiver side
-	// altlocal: selecting a pure-boolean Alt branch
-	branchBody []Stmt
+	// partner is a comm's receiver.
+	partner int
+	// branch is the Alt branch selected by altlocal, or the sender's for
+	// comm (-1: a plain Send); inBranch is the receiver's.
+	branch, inBranch int
 }
 
 // currentStmt returns the process's next statement without consuming it.
@@ -229,41 +229,19 @@ func (m *machine) Transitions() (eager *transition, branches []transition) {
 				return &transition{kind: "local", proc: i}, nil
 			}
 			ts = append(ts, transition{kind: "local", proc: i})
-		case Send:
-			if q, ok := m.byName[s.To]; ok {
-				offers = append(offers, offer{
-					proc: i, send: true, partner: q,
-					value: s.E.eval(m.procs[i].vars),
-				})
-			}
-		case Recv:
-			if q, ok := m.byName[s.From]; ok {
-				offers = append(offers, offer{proc: i, send: false, partner: q, recvVar: s.Var})
+		case Send, Recv:
+			if o, ok := m.newOffer(i, -1, s); ok {
+				offers = append(offers, o)
 			}
 		case Alt:
-			for _, br := range s.Branches {
+			for b, br := range s.Branches {
 				if br.Guard != nil && br.Guard.eval(m.procs[i].vars) == 0 {
 					continue
 				}
-				switch comm := br.Comm.(type) {
-				case nil:
-					ts = append(ts, transition{kind: "altlocal", proc: i, branchBody: br.Body})
-				case Send:
-					if q, ok := m.byName[comm.To]; ok {
-						offers = append(offers, offer{
-							proc: i, send: true, partner: q,
-							value:      comm.E.eval(m.procs[i].vars),
-							branchBody: br.Body, isAlt: true,
-						})
-					}
-				case Recv:
-					if q, ok := m.byName[comm.From]; ok {
-						offers = append(offers, offer{
-							proc: i, send: false, partner: q,
-							recvVar:    comm.Var,
-							branchBody: br.Body, isAlt: true,
-						})
-					}
+				if br.Comm == nil {
+					ts = append(ts, transition{kind: "altlocal", proc: i, branch: b})
+				} else if o, ok := m.newOffer(i, b, br.Comm); ok {
+					offers = append(offers, o)
 				}
 			}
 		}
@@ -277,10 +255,77 @@ func (m *machine) Transitions() (eager *transition, branches []transition) {
 			if o2.send || o2.proc != o1.partner || o2.partner != o1.proc {
 				continue
 			}
-			ts = append(ts, transition{kind: "comm", out: o1, inp: o2})
+			ts = append(ts, transition{kind: "comm", proc: o1.proc, partner: o2.proc, branch: o1.branch, inBranch: o2.branch})
 		}
 	}
 	return nil, ts
+}
+
+// newOffer returns the communication comm, a Send or Recv that proc
+// runs from Alt branch b (-1: a plain statement), as an offer.
+func (m *machine) newOffer(proc, b int, comm Stmt) (offer, bool) {
+	o := offer{proc: proc, branch: b}
+	var ok bool
+	switch c := comm.(type) {
+	case Send:
+		o.send = true
+		o.partner, ok = m.byName[c.To]
+	case Recv:
+		o.partner, ok = m.byName[c.From]
+	}
+	return o, ok
+}
+
+// comm returns the Send or Recv that proc runs from Alt branch b (-1:
+// its current statement) and the body the branch continues with.
+func (m *machine) comm(proc, b int) (Stmt, []Stmt) {
+	st, _ := m.currentStmt(proc)
+	if b < 0 {
+		return st, nil
+	}
+	br := st.(Alt).Branches[b]
+	return br.Comm, br.Body
+}
+
+// Independent reports whether two branches commute. A communication
+// involves both partners and emits only at their own channel elements,
+// and an altlocal step emits nothing, so transitions of disjoint
+// processes commute unless both operate at one external element.
+func (m *machine) Independent(a, b transition) bool {
+	if a.involves(b.proc) || b.involves(a.proc) || a.kind == "comm" && b.involves(a.partner) {
+		return false
+	}
+	ea, eb := m.extElement(a), m.extElement(b)
+	switch {
+	case ea != "" && eb != "":
+		return ea != eb
+	case ea != "" && b.kind == "comm":
+		return !m.commElement(b, ea)
+	case eb != "" && a.kind == "comm":
+		return !m.commElement(a, eb)
+	}
+	return true
+}
+
+// involves reports whether process p takes part in t.
+func (t transition) involves(p int) bool {
+	return t.proc == p || t.kind == "comm" && t.partner == p
+}
+
+// extElement returns the external element a local step operates on,
+// or "" for any other transition.
+func (m *machine) extElement(t transition) string {
+	if t.kind != "local" {
+		return ""
+	}
+	st, _ := m.currentStmt(t.proc)
+	return st.(Op).Element
+}
+
+// commElement reports whether the communication t emits at elem.
+func (m *machine) commElement(t transition, elem string) bool {
+	p, q := m.prog.Processes[t.proc].Name, m.prog.Processes[t.partner].Name
+	return elem == OutElement(p, q) || elem == InpElement(q, p)
 }
 
 func (m *machine) Apply(t transition) error {
@@ -288,14 +333,14 @@ func (m *machine) Apply(t transition) error {
 	case "local":
 		return m.stepLocal(t.proc)
 	case "altlocal":
+		st, _ := m.currentStmt(t.proc)
 		m.consumeStmt(t.proc)
-		p := &m.procs[t.proc]
-		if len(t.branchBody) > 0 {
-			p.frames = append(p.frames, frame{block: t.branchBody})
+		if body := st.(Alt).Branches[t.branch].Body; len(body) > 0 {
+			m.procs[t.proc].frames = append(m.procs[t.proc].frames, frame{block: body})
 		}
 		return nil
 	case "comm":
-		return m.stepComm(t.out, t.inp)
+		return m.stepComm(t)
 	default:
 		return fmt.Errorf("csp: unknown transition %q", t.kind)
 	}
@@ -337,19 +382,22 @@ func (m *machine) stepLocal(proc int) error {
 	return nil
 }
 
-func (m *machine) stepComm(out, inp offer) error {
-	sender, receiver := out.proc, inp.proc
+func (m *machine) stepComm(t transition) error {
+	sender, receiver := t.proc, t.partner
 	pName := m.prog.Processes[sender].Name
 	qName := m.prog.Processes[receiver].Name
+	send, outBody := m.comm(sender, t.branch)
+	recv, inpBody := m.comm(receiver, t.inBranch)
+	value := send.(Send).E.eval(m.procs[sender].vars)
 
 	m.consumeStmt(sender)
 	m.consumeStmt(receiver)
 
 	ident := func() core.Params {
-		return core.Params{"v": core.Int(out.value), "proc": core.Str(pName), "partner": core.Str(qName)}
+		return core.Params{"v": core.Int(value), "proc": core.Str(pName), "partner": core.Str(qName)}
 	}
 	identR := func() core.Params {
-		return core.Params{"v": core.Int(out.value), "proc": core.Str(qName), "partner": core.Str(pName)}
+		return core.Params{"v": core.Int(value), "proc": core.Str(qName), "partner": core.Str(pName)}
 	}
 	outReq := m.trace.Emit(sender, OutElement(pName, qName), "Req", ident())
 	inpReq := m.trace.Emit(receiver, InpElement(qName, pName), "Req", identR())
@@ -357,14 +405,14 @@ func (m *machine) stepComm(out, inp offer) error {
 	m.trace.Emit(sender, OutElement(pName, qName), "End", ident(), inpReq)
 	m.trace.Emit(receiver, InpElement(qName, pName), "End", identR(), outReq)
 
-	if inp.recvVar != "" {
-		m.procs[receiver].vars[inp.recvVar] = out.value
+	if v := recv.(Recv).Var; v != "" {
+		m.procs[receiver].vars[v] = value
 	}
-	if out.isAlt && len(out.branchBody) > 0 {
-		m.procs[sender].frames = append(m.procs[sender].frames, frame{block: out.branchBody})
+	if len(outBody) > 0 {
+		m.procs[sender].frames = append(m.procs[sender].frames, frame{block: outBody})
 	}
-	if inp.isAlt && len(inp.branchBody) > 0 {
-		m.procs[receiver].frames = append(m.procs[receiver].frames, frame{block: inp.branchBody})
+	if len(inpBody) > 0 {
+		m.procs[receiver].frames = append(m.procs[receiver].frames, frame{block: inpBody})
 	}
 	return nil
 }

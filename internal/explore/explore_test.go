@@ -15,15 +15,20 @@ import (
 // toy is a machine of actors that each run a fixed list of steps:
 //
 //	"own"  an event at the actor's own element; commutes, runs eagerly
+//	"ext"  an event at the actor's own element e<a>, listed as a branch
 //	"x"    an event at the shared element x carrying the actor's index
 //	"x="   an event at x with no parameters, alike for every actor
 //	"loop" an own event that never advances (a non-terminating actor)
 //	"self" an event that enables itself (an invalid computation)
 //	"fail" a step whose Apply fails
+//
+// Steps of different actors are independent when either is an ext
+// step; with dependent set, no two steps are.
 type toy struct {
-	prog  [][]string
-	pc    []int
-	trace Trace
+	prog      [][]string
+	pc        []int
+	trace     Trace
+	dependent bool
 }
 
 func newToy(prog ...[]string) *toy {
@@ -52,6 +57,8 @@ func (m *toy) Apply(a int) error {
 	switch step {
 	case "own", "loop":
 		m.trace.Emit(a, fmt.Sprintf("a%d", a), "Op", nil)
+	case "ext":
+		m.trace.Emit(a, fmt.Sprintf("e%d", a), "Op", nil)
 	case "x":
 		m.trace.Emit(a, "x", "Write", core.Params{"a": core.Int(int64(a))})
 	case "x=":
@@ -65,7 +72,11 @@ func (m *toy) Apply(a int) error {
 }
 
 func (m *toy) Clone() *toy {
-	return &toy{prog: m.prog, pc: append([]int(nil), m.pc...), trace: m.trace.Clone()}
+	return &toy{prog: m.prog, pc: append([]int(nil), m.pc...), trace: m.trace.Clone(), dependent: m.dependent}
+}
+
+func (m *toy) Independent(a, b int) bool {
+	return !m.dependent && a != b && (m.prog[a][m.pc[a]] == "ext" || m.prog[b][m.pc[b]] == "ext")
 }
 
 func (m *toy) Trace() *Trace { return &m.trace }
@@ -168,5 +179,77 @@ func TestWalkErrorsPropagate(t *testing.T) {
 	_, _, err = walkToy(newToy([]string{"x"}, []string{"fail"}), Options{}, 0)
 	if err == nil || !strings.Contains(err.Error(), "toy: step failed") {
 		t.Errorf("failing step: err = %v", err)
+	}
+}
+
+// walkCounters walks m with obs enabled and returns the emitted
+// fingerprints and the explore counters.
+func walkCounters(t *testing.T, m *toy) ([]string, map[string]int64) {
+	t.Helper()
+	obs.Enable()
+	defer obs.Disable()
+	fps, _, err := walkToy(m, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps, obs.Snapshot().Counters
+}
+
+func TestWalkSleepSetsIndependentActors(t *testing.T) {
+	// k actors of n independent branching steps are one computation.
+	// Sleep sets walk it once: 1 leaf. The states are the prefixes that
+	// run the actors in index order, (n+1)^k of them; the unreduced walk
+	// reaches all (kn)!/(n!)^k interleavings.
+	for _, c := range []struct{ k, n, states, interleavings int64 }{
+		{1, 3, 4, 1},
+		{2, 1, 4, 2},
+		{2, 2, 9, 6},
+		{3, 2, 27, 90},
+	} {
+		prog := make([][]string, c.k)
+		for a := range prog {
+			for i := int64(0); i < c.n; i++ {
+				prog[a] = append(prog[a], "ext")
+			}
+		}
+		fps, got := walkCounters(t, newToy(prog...))
+		if len(fps) != 1 || got["explore.leaves"] != 1 || got["explore.dup"] != 0 || got["explore.states"] != c.states {
+			t.Errorf("k=%d n=%d: %d runs, counters %v; want 1 run, 1 leaf, 0 dup, %d states", c.k, c.n, len(fps), got, c.states)
+		}
+		full := newToy(prog...)
+		full.dependent = true
+		fullFps, got := walkCounters(t, full)
+		if !reflect.DeepEqual(fps, fullFps) || got["explore.leaves"] != c.interleavings {
+			t.Errorf("k=%d n=%d unreduced: %d runs, %d leaves; want the same run, %d leaves",
+				c.k, c.n, len(fullFps), got["explore.leaves"], c.interleavings)
+		}
+	}
+}
+
+func TestWalkSleepSetsPruneAllAsleep(t *testing.T) {
+	// Root branches a0 then a1. a1's child sleeps on a0 and has no other
+	// branch: it is pruned, not a terminal state.
+	_, got := walkCounters(t, newToy([]string{"ext"}, []string{"ext"}))
+	if got["explore.states"] != 4 || got["explore.leaves"] != 1 || got["explore.dup"] != 0 {
+		t.Errorf("counters = %v; want 4 states, 1 leaf, 0 dup", got)
+	}
+}
+
+func TestWalkSleepSetsKeepDependentOrders(t *testing.T) {
+	// Dependent steps keep both orders, and the reduced walk emits what
+	// the unreduced one emits, in the same order.
+	for _, prog := range [][][]string{
+		{{"x"}, {"x"}},
+		{{"ext", "x"}, {"x", "ext"}},
+		{{"x", "ext", "x"}, {"ext", "x"}, {"ext", "ext"}},
+		{{"ext", "own", "x"}, {"own", "x", "ext"}, {"x="}},
+	} {
+		fps, _ := walkCounters(t, newToy(prog...))
+		full := newToy(prog...)
+		full.dependent = true
+		fullFps, _ := walkCounters(t, full)
+		if len(fps) < 2 || !reflect.DeepEqual(fps, fullFps) {
+			t.Errorf("%v: reduced walk emitted %d runs, unreduced %d, or in another order", prog, len(fps), len(fullFps))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"gem/internal/core"
 	"gem/internal/explore"
@@ -23,9 +24,11 @@ type ExploreOptions struct {
 	// MaxSteps caps the steps of a single run, guarding against
 	// non-terminating programs (0 = 10000).
 	MaxSteps int
-	// NoReduction disables the partial-order reduction, branching over
-	// every enabled transition. Exponentially slower; used to validate
-	// that the reduction preserves the set of computations.
+	// NoReduction disables both partial-order reductions: no transition
+	// runs eagerly and no branch is put to sleep, so the walk branches
+	// over every enabled transition in every order. Exponentially
+	// slower; it is the oracle that validates that the reductions
+	// preserve the set of computations.
 	NoReduction bool
 	// Ctx cancels the exploration: the DFS polls it at every node, and a
 	// cancelled context aborts the walk with ctx.Err() after at most one
@@ -109,7 +112,7 @@ type machine struct {
 
 	trace     explore.Trace
 	lastMonEv int
-	// full disables the partial-order reduction (ExploreOptions.NoReduction).
+	// full disables the partial-order reductions (ExploreOptions.NoReduction).
 	full bool
 	// ext holds the cells of external shared elements accessed via
 	// Op{Element: …}.
@@ -275,6 +278,34 @@ func (m *machine) Transitions() (eager *transition, branches []transition) {
 		}
 	}
 	return nil, branches
+}
+
+// Independent reports whether two branches commute. Outside m.full the
+// branches are the grants of the free monitor and the operations at
+// external elements; everything else runs eagerly. Two grants contend
+// for the monitor, and two operations at one element are ordered there.
+// A grant emits at the lock and at its entry, so it commutes with an
+// operation by another process at an element outside the monitor's
+// namespace. With m.full nothing is independent, which keeps the
+// unreduced oracle unreduced.
+func (m *machine) Independent(a, b transition) bool {
+	if m.full || a.proc == b.proc || a.kind == "grant" && b.kind == "grant" {
+		return false
+	}
+	if a.kind == "grant" {
+		a, b = b, a
+	}
+	ea := m.extElement(a)
+	if b.kind == "grant" {
+		return !strings.HasPrefix(ea, m.prog.Monitor.Name+".")
+	}
+	return ea != m.extElement(b)
+}
+
+// extElement returns the external element that t, a step at an Op
+// with Element set, operates on.
+func (m *machine) extElement(t transition) string {
+	return m.prog.Processes[t.proc].Body[m.procs[t.proc].bodyIdx].(Op).Element
 }
 
 func (m *machine) Apply(t transition) error {

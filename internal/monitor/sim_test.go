@@ -464,6 +464,27 @@ func TestReductionPreservesComputations(t *testing.T) {
 				}},
 			},
 		},
+		// Operations at two distinct external elements commute, so
+		// sleep sets prune some of their orders; the ones at a shared
+		// element do not.
+		"two-elements": {
+			Monitor: counterProgram(1).Monitor,
+			Processes: []Process{
+				{Name: "p1", Body: []ProcStmt{
+					Op{Element: "a", Class: "Assign", Params: map[string]int64{"newval": 1}},
+					Call{Entry: "Inc"},
+					Op{Element: "b", Class: "Getval"},
+				}},
+				{Name: "p2", Body: []ProcStmt{
+					Op{Element: "b", Class: "Assign", Params: map[string]int64{"newval": 2}},
+					Op{Element: "a", Class: "Getval"},
+					Call{Entry: "Inc"},
+				}},
+				{Name: "p3", Body: []ProcStmt{
+					Op{Element: "b", Class: "Getval"},
+				}},
+			},
+		},
 	}
 	for name, prog := range programs {
 		prog := prog

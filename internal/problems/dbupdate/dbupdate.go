@@ -123,6 +123,20 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
+	var runs []Run
+	truncated, err := explore.Walk[*state, transition](newState(cfg, opts), explore.Options{Name: "dbupdate", MaxRuns: opts.MaxRuns}, finish,
+		func(r Run) bool {
+			runs = append(runs, r)
+			return true
+		})
+	if err != nil {
+		return nil, false, err
+	}
+	return runs, truncated, nil
+}
+
+// newState returns the initial state of cfg, no update originated yet.
+func newState(cfg Config, opts ExploreOptions) *state {
 	init := &state{
 		opts:           opts,
 		clock:          make([]int64, cfg.Sites),
@@ -138,16 +152,7 @@ func Explore(cfg Config, opts ExploreOptions) ([]Run, bool, error) {
 	for _, u := range cfg.Updates {
 		init.pendingUpdates[u.Site] = append(init.pendingUpdates[u.Site], u)
 	}
-	var runs []Run
-	truncated, err := explore.Walk[*state, transition](init, explore.Options{Name: "dbupdate", MaxRuns: opts.MaxRuns}, finish,
-		func(r Run) bool {
-			runs = append(runs, r)
-			return true
-		})
-	if err != nil {
-		return nil, false, err
-	}
-	return runs, truncated, nil
+	return init
 }
 
 // transition originates site's next update or delivers the head of ch.
@@ -191,6 +196,33 @@ func (st *state) Apply(t transition) error {
 		st.deliver(t.ch)
 	}
 	return nil
+}
+
+// Independent reports whether two steps commute. A step acts for one
+// site: an origination for its site, a delivery for the destination.
+// An origination emits at its site and its outgoing channels, and a
+// delivery at its channel and destination site, so steps of different
+// sites commute unless one originates at the source of the other's
+// channel.
+func (st *state) Independent(a, b transition) bool {
+	if a.actor() == b.actor() {
+		return false
+	}
+	if a.originate && !b.originate {
+		return a.site != b.ch[0]
+	}
+	if b.originate && !a.originate {
+		return b.site != a.ch[0]
+	}
+	return true
+}
+
+// actor returns the site t acts for.
+func (t transition) actor() int {
+	if t.originate {
+		return t.site
+	}
+	return t.ch[1]
 }
 
 func (st *state) Trace() *explore.Trace { return &st.trace }

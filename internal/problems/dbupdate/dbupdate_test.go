@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem/internal/core"
+	"gem/internal/explore"
 	"gem/internal/legal"
 	"gem/internal/logic"
 )
@@ -164,5 +165,52 @@ func TestSingleSiteTrivial(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Finals[0] != 3 || !runs[0].Converged {
 		t.Fatalf("single-site run wrong: %+v", runs)
+	}
+}
+
+// dependent is the sleep-set oracle: a state that reports no two steps
+// independent, so the walk puts no branch to sleep.
+type dependent struct{ *state }
+
+func (d dependent) Clone() dependent                      { return dependent{d.state.Clone()} }
+func (dependent) Independent(transition, transition) bool { return false }
+
+// TestSleepSetsKeepEmission checks the sleep-set reduction against the
+// all-dependent walk: both emit the same computations, with the same
+// convergence, in the same order. The second configuration originates
+// at site 0 while its first message is in flight, so an origination
+// and a delivery share a channel.
+func TestSleepSetsKeepEmission(t *testing.T) {
+	twice := Config{Sites: 2, Updates: []Update{{Site: 0, Value: 7}, {Site: 0, Value: 8}, {Site: 1, Value: 9}}}
+	for name, opts := range map[string]ExploreOptions{
+		"default":           {},
+		"drop-last-message": {DropLastMessage: true},
+		"ignore-versions":   {IgnoreVersions: true},
+	} {
+		t.Run(name, func(t *testing.T) { sleepSetsKeepEmission(t, stdConfig(), opts) })
+		t.Run(name+"/twice-at-0", func(t *testing.T) { sleepSetsKeepEmission(t, twice, opts) })
+	}
+}
+
+func sleepSetsKeepEmission(t *testing.T, cfg Config, opts ExploreOptions) {
+	t.Helper()
+	runs, _, err := Explore(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full []Run
+	_, err = explore.Walk[dependent, transition](dependent{newState(cfg, opts)}, explore.Options{},
+		func(d dependent, c *core.Computation) Run { return finish(d.state, c) },
+		func(r Run) bool { full = append(full, r); return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 || len(runs) != len(full) {
+		t.Fatalf("sleep sets emit %d runs, the all-dependent walk %d", len(runs), len(full))
+	}
+	for i := range runs {
+		if core.Fingerprint(runs[i].Comp) != core.Fingerprint(full[i].Comp) || runs[i].Converged != full[i].Converged {
+			t.Fatalf("run %d differs from the all-dependent walk's", i)
+		}
 	}
 }

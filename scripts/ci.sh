@@ -111,6 +111,17 @@ awk '{$4=""; print}' "$tracedir/verify.j1.out" >"$tracedir/verify.j1.verdicts"
 awk '{$4=""; print}' "$tracedir/verify.j4.out" >"$tracedir/verify.j4.verdicts"
 diff "$tracedir/verify.j1.verdicts" "$tracedir/verify.j4.verdicts"
 cmp "$tracedir/j1.sarif" "$tracedir/j4.sarif"
+echo "==> explorer reduction gate: the matrix walks each computation once"
+# Sleep sets must reach each of the matrix's 217 computations at exactly
+# one terminal state: a duplicate means an interleaving slipped through,
+# a missing leaf means a computation was pruned.
+"$tracedir/gemverify" -j 1 -cache off -stats >/dev/null 2>"$tracedir/explore.stats"
+dup="$(awk '$1 == "explore.dup" {print $2}' "$tracedir/explore.stats")"
+leaves="$(awk '$1 == "explore.leaves" {print $2}' "$tracedir/explore.stats")"
+if [ "$dup" != 0 ] || [ "$leaves" != 217 ]; then
+	echo "==> FAIL: explorer reached explore.leaves=$leaves explore.dup=$dup; want 217 and 0" >&2
+	exit 1
+fi
 echo "==> mutation campaign gate: fixed seed, zero findings, -j1/-j4 byte-identical"
 # A fixed-seed 250-mutant campaign must complete with zero engine
 # disagreements and zero shrinker validation failures (gemmut exits
