@@ -123,16 +123,26 @@ func BenchmarkE3RWSpec(b *testing.B) {
 // exploration of the paper's ReadersWriters monitor (2 readers, 1
 // writer) with the priority, mutual-exclusion, and sharing properties
 // checked on every computation; the writers-priority mutant must fail.
-// The j sub-benchmarks exercise the parallel check engine
-// (logic.HoldsEvery fans (computation, property) pairs out to a worker
-// pool); j=1 is the sequential engine.
+// The j sub-benchmarks fan the (computation, property) pairs out to the
+// logic.FirstFailure pool, computation-major; j=1 is the sequential loop.
 func BenchmarkE4MonitorRW(b *testing.B) {
 	w := rw.Workload{Readers: 2, Writers: 1}
 	me, rp := rw.MutualExclusionProp(), rw.ReadersPriorityProp()
+	// firstFailure reports the computation index of the first failing
+	// (computation, formula) pair, or -1 when every pair holds.
+	firstFailure := func(fs []logic.Formula, comps []*core.Computation, j int) int {
+		u, _ := logic.FirstFailure(nil, len(comps)*len(fs), j, func(i int) (*logic.Counterexample, bool) {
+			cx := logic.Holds(fs[i%len(fs)], comps[i/len(fs)], logic.CheckOptions{})
+			return cx, cx == nil
+		})
+		if u < 0 {
+			return -1
+		}
+		return u / len(fs)
+	}
 	for _, j := range []int{1, 4} {
 		j := j
 		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			opts := logic.CheckOptions{Parallelism: j}
 			for i := 0; i < b.N; i++ {
 				runs, _, err := monitor.Explore(rw.NewProgram(rw.ReadersPriority, w), monitor.ExploreOptions{})
 				if err != nil {
@@ -142,7 +152,7 @@ func BenchmarkE4MonitorRW(b *testing.B) {
 				for k, r := range runs {
 					comps[k] = r.Comp
 				}
-				if ci, _, _ := logic.HoldsEvery([]logic.Formula{me, rp}, comps, opts); ci >= 0 {
+				if firstFailure([]logic.Formula{me, rp}, comps, j) >= 0 {
 					b.Fatal("paper monitor must satisfy ME and readers priority")
 				}
 				// The mutant must be refuted at least once.
@@ -154,7 +164,7 @@ func BenchmarkE4MonitorRW(b *testing.B) {
 				for k, r := range mutantRuns {
 					mutants[k] = r.Comp
 				}
-				if ci, _, _ := logic.HoldsEvery([]logic.Formula{rp}, mutants, opts); ci < 0 {
+				if firstFailure([]logic.Formula{rp}, mutants, j) < 0 {
 					b.Fatal("writers-priority mutant must be refuted")
 				}
 			}
@@ -255,9 +265,9 @@ func BenchmarkE6ProblemSpecs(b *testing.B) {
 
 // BenchmarkE7Matrix runs the full Section 11 verification matrix: three
 // languages × three problems, each exhaustively explored and checked
-// with the sat methodology. j=1 is the sequential pipeline (materialize,
-// then check); higher j streams runs into a sat-check worker pool with
-// the shared history-lattice cache. The engine=seq variant pins the
+// with the sat methodology: every cell materializes its runs, then
+// sat-checks them on j workers (j=1 is the sequential loop) with the
+// shared history-lattice cache. The engine=seq variant pins the
 // historical sequence cascade; the plain j entries use the default auto
 // engine (lattice fixpoint evaluation where the fragment allows).
 func BenchmarkE7Matrix(b *testing.B) {

@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/core"
 	"gem/internal/history"
@@ -167,12 +165,14 @@ func histories() error {
 }
 
 // rwMatrix checks every Readers/Writers monitor variant against the
-// property set. With j > 1 each workload's runs are streamed out of the
-// simulator into a pool of property-checking workers; the aggregated
-// booleans are order-independent, so the table is identical at any j.
-// A cancelled ctx stops the exploration and the workers promptly; the
-// caller reports the interruption. cache, when non-nil, serves property
-// verdicts from the persistent store; the table is identical either way.
+// property set. Each variant's runs over both workloads are collected,
+// then checked on up to j workers through logic.FirstFailure; every run
+// records its property outcomes in its own slot, so the table is
+// identical at any j. A cancelled ctx stops the exploration and the
+// workers promptly, and the interrupted variant's row is not printed;
+// the caller reports the interruption. cache, when non-nil, serves
+// property verdicts from the persistent store; the table is identical
+// either way.
 func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.VerdictCache) error {
 	// Pre-flight: the Readers/Writers problem specification itself must
 	// be statically well-formed before any variant is explored.
@@ -181,7 +181,6 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 	} else if err := prelint("readers/writers", s); err != nil {
 		return err
 	}
-	done := logic.Done(ctx)
 	// holds evaluates one property under its own span so the trace and
 	// -stats attribute engine time per property, like the restriction
 	// spans in legal.Check.
@@ -191,50 +190,43 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 		sp.End()
 		return cx == nil
 	}
+	type outcome struct{ mutex, readersPrio, writersPrio, sharing bool }
 	workloads := []rw.Workload{{Readers: 2, Writers: 1}, {Readers: 1, Writers: 2}}
 	fmt.Printf("%-25s %6s %7s %7s %7s %8s\n", "VARIANT", "RUNS", "MUTEX", "R-PRIO", "W-PRIO", "SHARING")
 	for _, v := range rw.Variants() {
-		var meViol, rpViol, wpViol, sharing atomic.Bool
-		total := 0
+		var comps []*core.Computation
 		for _, w := range workloads {
-			runs := make(chan *core.Computation, 16)
-			var wg sync.WaitGroup
-			for k := 0; k < logic.Workers(j, 16); k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for comp := range runs {
-						if logic.Cancelled(done) {
-							continue // drain so the producer never blocks
-						}
-						if !holds("property rw/mutual-exclusion", rw.MutualExclusionProp(), comp) {
-							meViol.Store(true)
-						}
-						if !holds("property rw/readers-priority", rw.ReadersPriorityProp(), comp) {
-							rpViol.Store(true)
-						}
-						if !holds("property rw/writers-priority", rw.WritersPriorityProp(), comp) {
-							wpViol.Store(true)
-						}
-						if logic.HoldsAtFull(rw.ReadsOverlap(), comp) == nil {
-							sharing.Store(true)
-						}
-					}
-				}()
-			}
-			_, err := monitor.ExploreStream(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx}, func(r monitor.Run) bool {
-				total++
-				runs <- r.Comp
-				return true
-			})
-			close(runs)
-			wg.Wait()
+			runs, _, err := monitor.Explore(rw.NewProgram(v, w), monitor.ExploreOptions{Ctx: ctx})
 			if err != nil {
 				return err
 			}
+			for _, r := range runs {
+				comps = append(comps, r.Comp)
+			}
 		}
-		fmt.Printf("%-25s %6d %7v %7v %7v %8v\n", v, total,
-			!meViol.Load(), !rpViol.Load(), !wpViol.Load(), sharing.Load())
+		outcomes := make([]outcome, len(comps))
+		logic.FirstFailure(ctx, len(comps), j, func(i int) (struct{}, bool) {
+			c := comps[i]
+			outcomes[i] = outcome{
+				mutex:       holds("property rw/mutual-exclusion", rw.MutualExclusionProp(), c),
+				readersPrio: holds("property rw/readers-priority", rw.ReadersPriorityProp(), c),
+				writersPrio: holds("property rw/writers-priority", rw.WritersPriorityProp(), c),
+				sharing:     logic.HoldsAtFull(rw.ReadsOverlap(), c) == nil,
+			}
+			return struct{}{}, true
+		})
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		all := outcome{mutex: true, readersPrio: true, writersPrio: true}
+		for _, o := range outcomes {
+			all.mutex = all.mutex && o.mutex
+			all.readersPrio = all.readersPrio && o.readersPrio
+			all.writersPrio = all.writersPrio && o.writersPrio
+			all.sharing = all.sharing || o.sharing
+		}
+		fmt.Printf("%-25s %6d %7v %7v %7v %8v\n", v, len(comps),
+			all.mutex, all.readersPrio, all.writersPrio, all.sharing)
 	}
 	return nil
 }

@@ -28,16 +28,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/gofront"
 	"gem/internal/lint"
+	"gem/internal/logic"
 	"gem/internal/profiling"
 	"gem/internal/race"
 )
@@ -110,40 +110,21 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 	// Analyze packages concurrently; results land in the slot of their
 	// input position so output never depends on scheduling.
 	results := make([]pkgResult, len(dirs))
-	workers := pf.Jobs
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(dirs) {
-					return
-				}
-				res, err := gofront.AnalyzeDir(dirs[i])
-				if err != nil {
-					results[i] = pkgResult{errMsg: fmt.Sprintf("%s: %v", dirs[i], err)}
-					continue
-				}
-				// The race pass runs per model, after extraction; its
-				// findings merge into the package's diagnostic stream.
-				for _, m := range res.Models {
-					res.Diags = append(res.Diags, race.Check(m)...)
-				}
-				lint.SortFileDiagnostics(res.Diags)
-				results[i] = pkgResult{res: res}
-			}
-		}()
-	}
-	wg.Wait()
+	logic.FirstFailure(context.Background(), len(dirs), pf.Jobs, func(i int) (struct{}, bool) {
+		res, err := gofront.AnalyzeDir(dirs[i])
+		if err != nil {
+			results[i] = pkgResult{errMsg: fmt.Sprintf("%s: %v", dirs[i], err)}
+			return struct{}{}, true
+		}
+		// The race pass runs per model, after extraction; its findings
+		// merge into the package's diagnostic stream.
+		for _, m := range res.Models {
+			res.Diags = append(res.Diags, race.Check(m)...)
+		}
+		lint.SortFileDiagnostics(res.Diags)
+		results[i] = pkgResult{res: res}
+		return struct{}{}, true
+	})
 
 	worsen := func(code int) {
 		if code > exit {

@@ -26,17 +26,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/analyze"
 	"gem/internal/lint"
+	"gem/internal/logic"
 	"gem/internal/profiling"
 )
 
@@ -99,26 +99,10 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 	// input position, so output order never depends on scheduling.
 	files := fs.Args()
 	results := make([]fileResult, len(files))
-	workers := runtime.NumCPU()
-	if workers > len(files) {
-		workers = len(files)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(files) {
-					return
-				}
-				results[i] = analyzeFile(files[i], *deep)
-			}
-		}()
-	}
-	wg.Wait()
+	logic.FirstFailure(context.Background(), len(files), runtime.NumCPU(), func(i int) (struct{}, bool) {
+		results[i] = analyzeFile(files[i], *deep)
+		return struct{}{}, true
+	})
 
 	worsen := func(code int) {
 		if code > exit {

@@ -4,11 +4,11 @@
 // explored and checked against its GEM problem specification with the
 // Section 9 sat methodology. Exits non-zero if any cell fails.
 //
-// The -j flag (default NumCPU) sets the checking parallelism: runs are
-// streamed out of the simulators into a pool of sat-check workers that
-// share each computation's memoized history lattice. -j1 reproduces the
-// sequential engine exactly; any -j reports the same verdicts and the
-// same first-failure computation index.
+// The -j flag (default NumCPU) sets the checking parallelism: each
+// cell's runs are explored, then sat-checked on that many workers, each
+// check sharing its computation's memoized history lattice. Any -j
+// reports the same verdicts, run counts and first-failure computation
+// indices.
 //
 // The -engine flag selects the temporal evaluation engine: auto (the
 // default) evaluates every temporal restriction with the lattice

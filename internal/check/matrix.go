@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"gem/internal/ada"
@@ -29,12 +28,11 @@ import (
 
 // Options configures how scenarios are executed.
 type Options struct {
-	// Parallelism is the checking worker count. With a value > 1 each
-	// scenario streams computations out of the simulator into a pool of
-	// sat-check workers (exploration overlaps checking); 0 or 1 runs the
-	// historical sequential pipeline: materialize every run, then check
-	// them one at a time. Verdicts and first-failure indices are
-	// identical either way.
+	// Parallelism is the sat-check worker count: every scenario first
+	// collects all its runs, then hands them to verify.CheckAll, which
+	// fans them out to this many workers (0 or 1 checks them one at a
+	// time). Verdicts, run counts and first-failure indices are
+	// identical at every value.
 	Parallelism int
 	// Engine selects the temporal evaluation engine (auto, lattice or
 	// seq) for every sat check. All engines report the same verdicts
@@ -51,11 +49,6 @@ type Options struct {
 	// a miss. Verdicts are identical with and without it.
 	Cache logic.VerdictCache
 }
-
-// streamBatch is how many computations the streaming producer groups
-// per channel send; see verify.CheckStream for why batches beat
-// per-item sends.
-const streamBatch = 16
 
 func firstOpt(opts []Options) Options {
 	if len(opts) > 0 {
@@ -99,10 +92,9 @@ type Cell struct {
 	Elapsed  time.Duration
 }
 
-// Run executes the scenario. With Options.Parallelism > 1 the simulator
-// streams runs through a channel into a pool of sat-check workers;
-// otherwise runs are materialized and checked sequentially, exactly as
-// the original engine did.
+// Run executes the scenario: explore every run, then sat-check them
+// with verify.CheckAll on Options.Parallelism workers. The verdict, run
+// count and first-failure index are the same at every parallelism.
 func (s Scenario) Run(opts ...Options) Cell {
 	opt := firstOpt(opts)
 	start := time.Now()
@@ -113,87 +105,35 @@ func (s Scenario) Run(opts ...Options) Cell {
 	ctx, sp := obs.StartSpan(opt.Ctx, name)
 	defer sp.End()
 	done := logic.Done(ctx)
-	// interrupted wraps the cell when the context was cancelled mid-run:
-	// whatever verdict the partial work reached is not a verdict on the
-	// scenario.
-	interrupted := func(cell Cell) Cell {
-		if logic.Cancelled(done) && cell.Err == nil {
-			cell.Verified = false
-			cell.Err = fmt.Errorf("check: %s/%s interrupted: %w", s.Problem, s.Language, opt.Ctx.Err())
-		}
-		return cell
-	}
 	problem, corr, err := s.Setup()
 	if err != nil {
 		return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
 	}
-	if logic.Workers(opt.Parallelism, 2) <= 1 {
-		var comps []*core.Computation
-		truncated, err := s.Stream(func(c *core.Computation) bool {
-			comps = append(comps, c)
-			return !logic.Cancelled(done)
-		})
-		if err == nil && truncated && !logic.Cancelled(done) {
-			err = fmt.Errorf("check: %s exploration truncated", s.Language)
-		}
-		if err != nil {
-			return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
-		}
-		idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
-		cell := Cell{Scenario: s, Runs: len(comps), Elapsed: time.Since(start)}
-		if idx >= 0 {
-			cell.Err = fmt.Errorf("computation %d: %w", idx, res.Error())
-			return cell
-		}
-		cell.Verified = true
-		return interrupted(cell)
+	var comps []*core.Computation
+	truncated, err := s.Stream(func(c *core.Computation) bool {
+		comps = append(comps, c)
+		return !logic.Cancelled(done)
+	})
+	if err == nil && truncated && !logic.Cancelled(done) {
+		err = fmt.Errorf("check: %s exploration truncated", s.Language)
 	}
-
-	// Parallel pipeline: the producer goroutine explores while the
-	// checking pool consumes, with computations grouped into batches so
-	// channel synchronization is off the per-run hot path. A failure
-	// stops the producer early; runs below the failing index are still
-	// checked, so the verdict and first-failure index match the
-	// sequential pipeline's.
-	ch := make(chan []verify.Indexed, 4*opt.Parallelism)
-	var stopFlag atomic.Bool
-	var produced int
-	var prodTrunc bool
-	var prodErr error
-	go func() {
-		defer close(ch)
-		batch := make([]verify.Indexed, 0, streamBatch)
-		trunc, err := s.Stream(func(c *core.Computation) bool {
-			if stopFlag.Load() || logic.Cancelled(done) {
-				return false
-			}
-			batch = append(batch, verify.Indexed{Index: produced, Comp: c})
-			produced++
-			if len(batch) == streamBatch {
-				ch <- batch
-				batch = make([]verify.Indexed, 0, streamBatch)
-			}
-			return true
-		})
-		if len(batch) > 0 {
-			ch <- batch
-		}
-		prodTrunc, prodErr = trunc, err
-	}()
-	idx, res := verify.CheckStream(problem, ch, func() { stopFlag.Store(true) },
-		corr, logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
-	cell := Cell{Scenario: s, Runs: produced, Elapsed: time.Since(start)}
+	if err != nil {
+		return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
+	}
+	idx, res := verify.CheckAll(problem, comps, corr,
+		logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
+	cell := Cell{Scenario: s, Runs: len(comps), Elapsed: time.Since(start)}
 	switch {
 	case idx >= 0:
 		cell.Err = fmt.Errorf("computation %d: %w", idx, res.Error())
-	case prodErr != nil:
-		cell.Err = prodErr
-	case prodTrunc && !logic.Cancelled(done):
-		cell.Err = fmt.Errorf("check: %s exploration truncated", s.Language)
+	case logic.Cancelled(done):
+		// Whatever verdict the partial work reached is not a verdict on
+		// the scenario.
+		cell.Err = fmt.Errorf("check: %s/%s interrupted: %w", s.Problem, s.Language, opt.Ctx.Err())
 	default:
 		cell.Verified = true
 	}
-	return interrupted(cell)
+	return cell
 }
 
 // Matrix returns the nine scenarios of the paper's Section 11 claim.
@@ -337,8 +277,8 @@ func rwScenario(lang Language) Scenario {
 }
 
 // RunMatrix executes every scenario and prints a table; it returns an
-// error if any cell fails. Pass Options{Parallelism: n} to use the
-// parallel streaming engine.
+// error if any cell fails. Pass Options{Parallelism: n} to sat-check
+// each cell's runs on n workers.
 func RunMatrix(w io.Writer, opts ...Options) error {
 	_, err := RunMatrixCells(w, opts...)
 	return err

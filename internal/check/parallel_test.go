@@ -7,6 +7,8 @@ import (
 	"gem/internal/history"
 	"gem/internal/legal"
 	"gem/internal/logic"
+	"gem/internal/problems/rw"
+	"gem/internal/spec"
 	"gem/internal/thread"
 	"gem/internal/verify"
 )
@@ -20,30 +22,52 @@ func withProcs(t *testing.T, n int) {
 }
 
 // TestMatrixParallelDeterminism: every readers-writers and bounded-buffer
-// cell reports the same verdict and run count with the sequential engine
-// and with the streaming parallel engine (S3).
+// cell reports the same verdict and run count at Parallelism 1 and 4, and
+// so does a failing cell (the writers-priority monitor against the
+// readers-priority spec), down to its error string.
 func TestMatrixParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive matrix cells are slow; skipped in -short mode")
 	}
 	withProcs(t, 4)
+	type cell struct {
+		name  string
+		s     Scenario
+		fails bool
+	}
+	var cells []cell
 	for _, s := range Matrix() {
-		if s.Problem != "readers-writers" && s.Problem != "bounded-buffer" {
-			continue
+		if s.Problem == "readers-writers" || s.Problem == "bounded-buffer" {
+			cells = append(cells, cell{s.Problem + "/" + string(s.Language), s, false})
 		}
-		s := s
-		t.Run(s.Problem+"/"+string(s.Language), func(t *testing.T) {
-			seq := s.Run(Options{Parallelism: 1})
-			par := s.Run(Options{Parallelism: 4})
+	}
+	wp := Scenario{
+		Problem:  "readers-writers",
+		Language: Monitor,
+		Setup: func() (*spec.Spec, verify.Correspondence, error) {
+			problem, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true)
+			return problem, rw.MonitorCorrespondence(), err
+		},
+		Stream: stream(rw.NewProgram(rw.WritersPriority, rw.Workload{Readers: 2, Writers: 1})),
+	}
+	cells = append(cells, cell{"writers-priority-monitor/readers-priority-spec", wp, true})
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			seq := c.s.Run(Options{Parallelism: 1})
+			par := c.s.Run(Options{Parallelism: 4})
 			if seq.Verified != par.Verified {
 				t.Fatalf("verdicts differ: sequential %v (%v), parallel %v (%v)",
 					seq.Verified, seq.Err, par.Verified, par.Err)
 			}
-			if !seq.Verified {
-				t.Fatalf("cell unexpectedly failing: %v", seq.Err)
+			if seq.Verified == c.fails {
+				t.Fatalf("verified = %v, want %v (%v)", seq.Verified, !c.fails, seq.Err)
 			}
 			if seq.Runs != par.Runs {
 				t.Errorf("run counts differ: sequential %d, parallel %d", seq.Runs, par.Runs)
+			}
+			if c.fails && seq.Err.Error() != par.Err.Error() {
+				t.Errorf("errors differ:\nsequential: %v\nparallel:   %v", seq.Err, par.Err)
 			}
 		})
 	}
@@ -82,15 +106,13 @@ func TestRefutationParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegalParallelDeterminism: legal.Check fans restrictions out to a
-// pool; the violation list must be identical to the sequential one, and
-// one legality check must enumerate the history lattice at most once
-// even though several restrictions consult it.
+// TestLegalParallelDeterminism: one legality check of a refuted
+// computation enumerates the history lattice at most once even though
+// several restrictions consult it.
 func TestLegalParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutant exploration is slow; skipped in -short mode")
 	}
-	withProcs(t, 4)
 	r := Refutations()[0] // writers-priority monitor vs readers-priority spec
 	problem, comps, corr, err := r.Build()
 	if err != nil {
@@ -100,35 +122,18 @@ func TestLegalParallelDeterminism(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("mutant not refuted")
 	}
-	check := func(par int) []string {
-		// Project afresh so each check starts with a cold lattice cache.
-		proj, err := verify.Project(comps[idx], corr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		thread.Apply(proj.Comp, problem.Threads()...)
-		before := history.LatticeBuilds()
-		res := legal.Check(problem, proj.Comp, legal.Options{Check: logic.CheckOptions{Parallelism: par}})
-		if d := history.LatticeBuilds() - before; d > 1 {
-			t.Errorf("par %d: lattice enumerated %d times in one legality check, want at most 1", par, d)
-		}
-		var out []string
-		for _, v := range res.Violations {
-			out = append(out, v.String())
-		}
-		return out
+	// Project afresh so the check starts with a cold lattice cache.
+	proj, err := verify.Project(comps[idx], corr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := check(1)
-	if len(seq) == 0 {
+	thread.Apply(proj.Comp, problem.Threads()...)
+	before := history.LatticeBuilds()
+	res := legal.Check(problem, proj.Comp, legal.Options{})
+	if d := history.LatticeBuilds() - before; d > 1 {
+		t.Errorf("lattice enumerated %d times in one legality check, want at most 1", d)
+	}
+	if res.Legal() {
 		t.Fatal("expected violations on the refuted computation")
-	}
-	par := check(4)
-	if len(seq) != len(par) {
-		t.Fatalf("violation counts differ: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("violation %d differs:\nsequential: %s\nparallel:   %s", i, seq[i], par[i])
-		}
 	}
 }

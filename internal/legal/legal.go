@@ -11,8 +11,6 @@ package legal
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/core"
 	"gem/internal/logic"
@@ -133,64 +131,28 @@ func Check(s *spec.Spec, c *core.Computation, opts Options) Result {
 	if opts.SkipRestrictions {
 		return res
 	}
-	rs := s.Restrictions()
-	for i, cx := range restrictionCounterexamples(rs, c, opts.Check) {
-		if cx != nil {
+	// Violations are collected in declaration order. All restrictions
+	// share the computation's memoized history lattice, which is
+	// enumerated at most once. Cancellation leaves the remaining
+	// restrictions unchecked, indistinguishable from "holds": callers
+	// that must tell the difference consult ctx.Err(), as with every
+	// partial result here.
+	done := logic.Done(opts.Check.Ctx)
+	for _, r := range s.Restrictions() {
+		if logic.Cancelled(done) {
+			break
+		}
+		if cx := holds(r, c, opts.Check); cx != nil {
 			add(Violation{
 				Kind:        RestrictionViolation,
 				Message:     cx.Error(),
-				Restriction: rs[i].Name,
-				Owner:       rs[i].Owner,
+				Restriction: r.Name,
+				Owner:       r.Owner,
 				Cx:          cx,
 			})
 		}
 	}
 	return res
-}
-
-// restrictionCounterexamples checks every restriction against the
-// computation on up to opts.Parallelism workers. Results are indexed by
-// restriction, so violations are always collected in declaration order:
-// every worker count reports the same violations in the same order. All
-// restrictions share the computation's memoized history lattice, which is
-// enumerated at most once.
-func restrictionCounterexamples(rs []spec.OwnedRestriction, c *core.Computation, opts logic.CheckOptions) []*logic.Counterexample {
-	cxs := make([]*logic.Counterexample, len(rs))
-	// Cancellation leaves the remaining entries nil — indistinguishable
-	// from "holds" in the returned slice, so callers that must tell the
-	// difference consult ctx.Err(), as with every partial result here.
-	done := logic.Done(opts.Ctx)
-	w := logic.Workers(opts.Parallelism, len(rs))
-	inner := opts
-	if w > 1 {
-		inner.Parallelism = 1
-	}
-	var next atomic.Int64
-	work := func() {
-		for !logic.Cancelled(done) {
-			i := int(next.Add(1) - 1)
-			if i >= len(rs) {
-				return
-			}
-			cxs[i] = holds(rs[i], c, inner)
-		}
-	}
-	if w == 1 {
-		// A lone worker runs on the caller's goroutine: starting one
-		// would add scheduler wake-ups to every small check.
-		work()
-		return cxs
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
-	return cxs
 }
 
 // holds runs one restriction under its own span, so the trace and the

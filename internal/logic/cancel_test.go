@@ -45,8 +45,11 @@ func TestFirstFailureCancelPromptness(t *testing.T) {
 				after.Add(1)
 			}
 			if i == cancelAt {
-				cancelled.Store(true)
+				// Count from the moment cancel returns: checks other
+				// workers start while cancel is still running precede
+				// the cancellation being observable.
 				cancel()
+				cancelled.Store(true)
 			}
 			return 0, true
 		})
@@ -54,7 +57,7 @@ func TestFirstFailureCancelPromptness(t *testing.T) {
 		if idx != -1 {
 			t.Errorf("par %d: no unit fails, got index %d", par, idx)
 		}
-		bound := int64(Workers(par, n) * FailureChunk)
+		bound := int64(workers(par, n) * FailureChunk)
 		if got := after.Load(); got > bound {
 			t.Errorf("par %d: %d checks ran after cancellation, bound is %d", par, got, bound)
 		}
@@ -112,31 +115,5 @@ func TestFirstFailureCancelNoGoroutineLeak(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestHoldsAllCancelled: the restriction fan-out built on FirstFailure
-// inherits the cancellation semantics — an already-cancelled context
-// reports no counterexample and the caller distinguishes "gave up" from
-// "all hold" via ctx.Err().
-func TestHoldsAllCancelled(t *testing.T) {
-	withProcs(t, 4)
-	c, _ := diamondComp(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	fs := []Formula{TrueF{}, FalseF{}, TrueF{}}
-	for _, par := range []int{1, 4} {
-		idx, cx := HoldsAll(fs, c, CheckOptions{Parallelism: par, Ctx: ctx})
-		if idx != -1 || cx != nil {
-			t.Errorf("par %d: cancelled HoldsAll = (%d, %v), want (-1, nil)", par, idx, cx)
-		}
-	}
-	// Sanity: the same check without cancellation finds the failure at
-	// the same index for every parallelism.
-	for _, par := range []int{1, 4} {
-		idx, cx := HoldsAll(fs, c, CheckOptions{Parallelism: par})
-		if idx != 1 || cx == nil {
-			t.Errorf("par %d: HoldsAll = (%d, %v), want (1, cx)", par, idx, cx)
-		}
 	}
 }

@@ -55,12 +55,10 @@ func (cx *Counterexample) Verify() error {
 
 // CheckOptions configure how a check runs.
 type CheckOptions struct {
-	// Parallelism is the worker count used when independent checks are
-	// fanned out: HoldsAll and HoldsEvery across formulas/computations,
-	// legal.Check across restrictions, verify.CheckAll across
-	// computations. 0 or 1 checks sequentially (exactly the historical
-	// behavior); parallel runs report the same verdicts and the same
-	// first (lowest-index) counterexample.
+	// Parallelism is the worker count verify.CheckAll fans computations
+	// out to; nothing else reads it. 0 or 1 checks sequentially;
+	// parallel runs report the same verdicts and the same first
+	// (lowest-index) counterexample.
 	Parallelism int
 	// Engine selects the temporal evaluation strategy (auto, lattice or
 	// seq). Every engine reports the same verdicts; counterexamples are
@@ -70,9 +68,9 @@ type CheckOptions struct {
 	// The zero value is EngineAuto.
 	Engine Engine
 	// Ctx carries cancellation and the observability span context
-	// through the engines: the parallel fan-outs (FirstFailure and the
-	// streaming checkers) poll it and stop promptly once it is
-	// cancelled, and spans opened under it nest in the emitted trace.
+	// through the engines: the FirstFailure pool polls it and stops
+	// promptly once it is cancelled, and spans opened under it nest in
+	// the emitted trace.
 	// nil means context.Background(): never cancelled. Individual
 	// formula evaluations are not interrupted mid-enumeration, so
 	// cancellation latency is bounded by one unit of work.

@@ -242,19 +242,6 @@ func TestHoldsInvariantSemantics(t *testing.T) {
 	}
 }
 
-func TestHoldsAllReportsIndex(t *testing.T) {
-	c, _ := diamondComp(t)
-	fs := []Formula{TrueF{}, FalseF{}, TrueF{}}
-	idx, cx := HoldsAll(fs, c, CheckOptions{})
-	if idx != 1 || cx == nil {
-		t.Errorf("HoldsAll = (%d, %v), want (1, counterexample)", idx, cx)
-	}
-	idx, cx = HoldsAll([]Formula{TrueF{}}, c, CheckOptions{})
-	if idx != -1 || cx != nil {
-		t.Errorf("all-pass HoldsAll = (%d, %v)", idx, cx)
-	}
-}
-
 func TestCounterexampleError(t *testing.T) {
 	var nilCx *Counterexample
 	if nilCx.Error() != "<no counterexample>" {

@@ -5,15 +5,13 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"gem/internal/core"
 )
 
-// Workers returns the effective worker count for n independent units at
+// workers returns the effective worker count for n independent units at
 // the requested parallelism: 0 and 1 mean sequential, and the pool is
 // never larger than the number of units or useful beyond GOMAXPROCS for
 // CPU-bound checking.
-func Workers(par, n int) int {
+func workers(par, n int) int {
 	if par <= 1 || n <= 1 {
 		return 1
 	}
@@ -76,10 +74,14 @@ func Cancelled(done <-chan struct{}) bool {
 // returns the best failure found so far, or (-1, zero) if none was;
 // callers that must distinguish "all passed" from "gave up" consult
 // ctx.Err(), exactly like a truncated enumeration.
+//
+// FirstFailure is the program's one worker pool. A caller that needs
+// every unit checked, not just the first failure, returns ok == true
+// from check and writes each unit's result into its own index slot.
 func FirstFailure[T any](ctx context.Context, n, par int, check func(i int) (T, bool)) (int, T) {
 	var zero T
 	done := Done(ctx)
-	w := Workers(par, n)
+	w := workers(par, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if i%FailureChunk == 0 && Cancelled(done) {
@@ -156,41 +158,4 @@ func FirstFailure[T any](ctx context.Context, n, par int, check func(i int) (T, 
 		return m, results[m]
 	}
 	return -1, zero
-}
-
-// HoldsAll checks several restrictions, returning the first
-// counterexample, annotated with its index, or (-1, nil) if all hold.
-// With opts.Parallelism > 1 the restrictions are checked concurrently
-// with deterministic first-failure semantics: the reported index and
-// counterexample are the ones the sequential run finds. Cancellation of
-// opts.Ctx stops the fan-out promptly (see FirstFailure).
-func HoldsAll(fs []Formula, c *core.Computation, opts CheckOptions) (int, *Counterexample) {
-	inner := opts
-	inner.Parallelism = 1
-	return FirstFailure(opts.Ctx, len(fs), opts.Parallelism, func(i int) (*Counterexample, bool) {
-		cx := Holds(fs[i], c, inner)
-		return cx, cx == nil
-	})
-}
-
-// HoldsEvery checks every restriction against every computation, fanning
-// the (computation, formula) pairs out to a worker pool. It returns the
-// indices of the first failure in (computation-major, formula-minor)
-// order plus its counterexample, or (-1, -1, nil) when every pair holds —
-// exactly what nested sequential loops would report. Cancellation of
-// opts.Ctx stops the fan-out promptly (see FirstFailure).
-func HoldsEvery(fs []Formula, comps []*core.Computation, opts CheckOptions) (int, int, *Counterexample) {
-	if len(fs) == 0 || len(comps) == 0 {
-		return -1, -1, nil
-	}
-	inner := opts
-	inner.Parallelism = 1
-	u, cx := FirstFailure(opts.Ctx, len(comps)*len(fs), opts.Parallelism, func(i int) (*Counterexample, bool) {
-		cx := Holds(fs[i%len(fs)], comps[i/len(fs)], inner)
-		return cx, cx == nil
-	})
-	if u < 0 {
-		return -1, -1, nil
-	}
-	return u / len(fs), u % len(fs), cx
 }

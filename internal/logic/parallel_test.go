@@ -10,7 +10,7 @@ import (
 )
 
 // withProcs raises GOMAXPROCS for the duration of a test so the parallel
-// code paths are exercised even on a single-core host (Workers caps the
+// code paths are exercised even on a single-core host (workers caps the
 // pool at GOMAXPROCS).
 func withProcs(t *testing.T, n int) {
 	t.Helper()
@@ -30,8 +30,8 @@ func TestWorkers(t *testing.T) {
 		{-1, 10, 1},
 	}
 	for _, tt := range tests {
-		if got := Workers(tt.par, tt.n); got != tt.want {
-			t.Errorf("Workers(%d, %d) = %d, want %d", tt.par, tt.n, got, tt.want)
+		if got := workers(tt.par, tt.n); got != tt.want {
+			t.Errorf("workers(%d, %d) = %d, want %d", tt.par, tt.n, got, tt.want)
 		}
 	}
 }
@@ -84,22 +84,6 @@ func TestFirstFailureAllPass(t *testing.T) {
 	}
 }
 
-func TestHoldsEveryIndices(t *testing.T) {
-	withProcs(t, 4)
-	c1, _ := diamondComp(t)
-	c2, _ := diamondComp(t)
-	fs := []Formula{TrueF{}, FalseF{}}
-	for _, par := range []int{1, 4} {
-		ci, fi, cx := HoldsEvery(fs, []*core.Computation{c1, c2}, CheckOptions{Parallelism: par})
-		if ci != 0 || fi != 1 || cx == nil {
-			t.Errorf("par %d: HoldsEvery = (%d, %d, %v), want (0, 1, cx)", par, ci, fi, cx)
-		}
-	}
-	if ci, fi, cx := HoldsEvery(fs, nil, CheckOptions{}); ci != -1 || fi != -1 || cx != nil {
-		t.Errorf("empty comps: HoldsEvery = (%d, %d, %v)", ci, fi, cx)
-	}
-}
-
 // TestLatticeBuiltOncePerCheck: checking several □ restrictions against
 // one computation — both the □-invariant reduction and the history-pairs
 // reduction — enumerates the history lattice exactly once.
@@ -114,8 +98,10 @@ func TestLatticeBuiltOncePerCheck(t *testing.T) {
 		Then: Box{F: Exists{Var: "y", Ref: core.Ref("EL1", "E"), Body: Occurred{Var: "y"}}},
 	}}
 	before := history.LatticeBuilds()
-	if idx, cx := HoldsAll([]Formula{inv, pairs, inv, pairs}, c, CheckOptions{}); idx >= 0 {
-		t.Fatalf("restrictions should hold, failed at %d: %v", idx, cx.Error())
+	for i, f := range []Formula{inv, pairs, inv, pairs} {
+		if cx := Holds(f, c, CheckOptions{}); cx != nil {
+			t.Fatalf("restrictions should hold, failed at %d: %v", i, cx.Error())
+		}
 	}
 	if d := history.LatticeBuilds() - before; d != 1 {
 		t.Errorf("lattice enumerated %d times across 4 restrictions, want 1", d)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gem/internal/core"
 	"gem/internal/gemlang"
@@ -19,10 +17,10 @@ import (
 )
 
 // The campaign driver: generate N mutants deterministically, dedup on
-// (spec hash × computation fingerprint), fan the unique mutants across a
-// worker pool (the same atomic-claim idiom as legal's parallel
-// restriction check) with per-mutant cancellation, check each under all
-// three engines, shrink every failure, and persist the shrunk corpus.
+// (spec hash × computation fingerprint), fan the unique mutants out to
+// the logic.FirstFailure pool with per-mutant cancellation, check each
+// under all three engines, shrink every failure, and persist the shrunk
+// corpus.
 //
 // Engine agreement is the campaign's verification target: a mutant on
 // which auto, lattice, and seq disagree — different legality verdict,
@@ -76,6 +74,8 @@ type Result struct {
 	Blame       []string // the agreed blame (auto engine's view)
 	Shrunk      *ShrinkResult
 	CorpusKey   string // set when a shrunk entry was persisted
+
+	findings []Finding // this mutant's findings, in the order found
 }
 
 // Report is a completed campaign. Everything here is a deterministic
@@ -171,64 +171,33 @@ func Run(cfg Config) (*Report, error) {
 	genSpan.End()
 	rep.Unique = len(rep.Results)
 
-	// Checking + shrinking: workers claim mutants via an atomic counter
-	// and write into the indexed results slice, so scheduling never
-	// affects the report.
-	workers := logic.Workers(cfg.Parallelism, rep.Unique)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var findingsMu sync.Mutex
-	var findings []Finding
-	addFinding := func(f Finding) {
-		findingsMu.Lock()
-		findings = append(findings, f)
-		findingsMu.Unlock()
-	}
-	work := func() {
-		defer wg.Done()
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1) - 1)
-			if i >= rep.Unique {
-				return
-			}
-			checkMutant(ctx, cfg, rep.Results[i], addFinding)
-		}
-	}
-	if workers <= 1 {
-		wg.Add(1)
-		work()
-	} else {
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go work()
-		}
-	}
-	wg.Wait()
+	// Checking + shrinking: each mutant's verdict, shrunk witness and
+	// findings land on its own Result, so scheduling never affects the
+	// report.
+	logic.FirstFailure(ctx, rep.Unique, cfg.Parallelism, func(i int) (struct{}, bool) {
+		checkMutant(ctx, cfg, rep.Results[i])
+		return struct{}{}, true
+	})
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
+	rep.tally()
+	persistCorpus(cfg, rep)
+	return rep, nil
+}
 
-	// Findings are collected concurrently; order them by mutant index
-	// (then kind) for the deterministic report.
-	sort.Slice(findings, func(a, b int) bool {
-		if findings[a].Index != findings[b].Index {
-			return findings[a].Index < findings[b].Index
-		}
-		return findings[a].Kind < findings[b].Kind
-	})
-	rep.Findings = findings
+// tally fills the verdict counts and the findings from the per-mutant
+// results. Findings come out in generation order, and each mutant's in
+// the order checkMutant recorded them (engine order within a kind).
+func (rep *Report) tally() {
 	for _, r := range rep.Results {
+		rep.Findings = append(rep.Findings, r.findings...)
 		if r.Legal {
 			rep.Legal++
 		} else {
 			rep.Illegal++
 		}
 	}
-	persistCorpus(cfg, rep)
-	return rep, nil
 }
 
 func asRejected(err error, out **Rejected) bool {
@@ -240,11 +209,13 @@ func asRejected(err error, out **Rejected) bool {
 }
 
 // checkMutant runs one mutant through the engine matrix, records the
-// agreed verdict, and shrinks failures. Each mutant gets its own
-// cancellable context: when the campaign budget expires mid-check, the
-// engines' enumerations stop at the next cancellation point.
-func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Finding)) {
+// agreed verdict and any findings on r, and shrinks failures. Each
+// mutant gets its own cancellable context: when the campaign budget
+// expires mid-check, the engines' enumerations stop at the next
+// cancellation point.
+func checkMutant(ctx context.Context, cfg Config, r *Result) {
 	m := r.Mutant
+	addFinding := func(f Finding) { r.findings = append(r.findings, f) }
 	mctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	_, span := obs.StartSpan(mctx, "mutate.check")
@@ -255,10 +226,9 @@ func checkMutant(ctx context.Context, cfg Config, r *Result, addFinding func(Fin
 	for ei, eng := range engines {
 		res := legal.Check(m.Spec, m.Comp, legal.Options{
 			Check: logic.CheckOptions{
-				Engine:      eng,
-				Ctx:         mctx,
-				Cache:       cfg.Cache,
-				Parallelism: 1,
+				Engine: eng,
+				Ctx:    mctx,
+				Cache:  cfg.Cache,
 			},
 		})
 		results[ei] = res
@@ -490,7 +460,7 @@ func Replay(st *store.Store, name string, cache logic.VerdictCache) (int, error)
 		}
 		for _, eng := range engines {
 			res := legal.Check(sp, c, legal.Options{
-				Check: logic.CheckOptions{Engine: eng, Cache: cache, Parallelism: 1},
+				Check: logic.CheckOptions{Engine: eng, Cache: cache},
 			})
 			if res.Legal() {
 				return 0, fmt.Errorf("mutate: corpus entry %s (op %s) is legal under engine %s", k, entry.Op, eng)

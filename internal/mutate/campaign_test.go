@@ -2,6 +2,8 @@ package mutate
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"gem/internal/core"
@@ -38,6 +40,41 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if rep1.Unique == 0 || rep1.Illegal == 0 {
 		t.Fatalf("degenerate campaign: unique=%d illegal=%d", rep1.Unique, rep1.Illegal)
+	}
+}
+
+// The report lists findings in mutant order, and two same-kind findings
+// on one mutant (two engines' bad witnesses) keep their engine order:
+// the order must not depend on how the findings were collected.
+func TestCampaignFindingOrder(t *testing.T) {
+	witness := func(idx int, eng logic.Engine) Finding {
+		return Finding{Index: idx, Kind: "bad-witness", Detail: "engine " + eng.String()}
+	}
+	rep := &Report{Results: []*Result{
+		{Legal: true},
+		{findings: []Finding{
+			witness(1, logic.EngineSeq),
+			witness(1, logic.EngineLattice),
+			{Index: 1, Kind: "engine-disagreement", Detail: "auto=legal"},
+		}},
+		{findings: []Finding{witness(2, logic.EngineAuto)}},
+	}}
+	rep.tally()
+	var got []string
+	for _, f := range rep.Findings {
+		got = append(got, fmt.Sprintf("%d %s %s", f.Index, f.Kind, f.Detail))
+	}
+	want := []string{
+		"1 bad-witness engine seq",
+		"1 bad-witness engine lattice",
+		"1 engine-disagreement auto=legal",
+		"2 bad-witness engine auto",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+	if rep.Legal != 1 || rep.Illegal != 2 {
+		t.Errorf("legal=%d illegal=%d, want 1 and 2", rep.Legal, rep.Illegal)
 	}
 }
 

@@ -2,10 +2,11 @@
 // and computations: a deterministic, seedable mutator (drop a
 // restriction, negate or weaken a formula node, widen a port, permute a
 // thread's prerequisite chain, and edge/event/parameter mutations on
-// computations), a campaign driver that fans thousands of mutants across
-// a worker pool with per-mutant cancellation and verdict dedup, and a
-// ddmin shrinker that delta-debugs every failing computation down to a
-// minimal counterexample re-validated via logic.Counterexample.Verify.
+// computations), a campaign runner (Run) that fans thousands of mutants out
+// to the logic.FirstFailure pool with per-mutant cancellation and
+// verdict dedup, and a ddmin shrinker that delta-debugs every failing
+// computation down to a minimal counterexample re-validated via
+// logic.Counterexample.Verify.
 //
 // Mutation grows the engine-agreement corpus: every mutant is checked
 // under the auto, lattice, and seq engines, and any verdict or blame

@@ -111,6 +111,11 @@ awk '{$4=""; print}' "$tracedir/verify.j1.out" >"$tracedir/verify.j1.verdicts"
 awk '{$4=""; print}' "$tracedir/verify.j4.out" >"$tracedir/verify.j4.verdicts"
 diff "$tracedir/verify.j1.verdicts" "$tracedir/verify.j4.verdicts"
 cmp "$tracedir/j1.sarif" "$tracedir/j4.sarif"
+echo "==> gemcheck rw -j1 and -j4: byte-identical variant table"
+go build -o "$tracedir/gemcheck" ./cmd/gemcheck
+"$tracedir/gemcheck" -j 1 -cache off rw >"$tracedir/rw.j1.out"
+"$tracedir/gemcheck" -j 4 -cache off rw >"$tracedir/rw.j4.out"
+cmp "$tracedir/rw.j1.out" "$tracedir/rw.j4.out"
 echo "==> explorer reduction gate: the matrix walks each computation once"
 # Sleep sets must reach each of the matrix's 217 computations at exactly
 # one terminal state: a duplicate means an interleaving slipped through,
@@ -136,6 +141,8 @@ grep -q 'findings: none' "$tracedir/mut.j1.out"
 echo "==> mutation corpus smoke: persisted campaign replays with engine agreement"
 "$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$tracedir/mutcache" >/dev/null
 "$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$tracedir/mutcache" | grep -q 'engines agree on all'
+echo "==> worker pool under -race, repeated: logic.FirstFailure and the campaign fan-out"
+go test -race -count=10 -run 'FirstFailure|CampaignDeterministicAcrossParallelism' ./internal/logic ./internal/mutate
 echo "==> go test -race $* ./..."
 go test -race "$@" ./...
 echo "==> bench smoke (-short, one iteration per benchmark)"
