@@ -3,8 +3,6 @@ package check_test
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,7 +16,7 @@ import (
 	"gem/internal/problems/rw"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/emission.golden from the current explorers")
+var update = flag.Bool("update", false, "rewrite the testdata golden files from the current code")
 
 // emissionLog records, section by section, the ordered fingerprints of
 // the runs an explorer emits together with each run's flag, so any
@@ -131,34 +129,5 @@ func TestEmissionOrderGolden(t *testing.T) {
 		}))
 	}
 
-	path := filepath.Join("testdata", "emission.golden")
-	got := l.sb.String()
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("emission order differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
-			}
-		}
-	}
+	golden(t, "emission.golden", l.sb.String())
 }

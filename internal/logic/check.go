@@ -185,11 +185,7 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 		sp.End()
 		return cx
 	default:
-		env := NewEnv(history.Full(c))
-		if !f.Eval(env) {
-			return &Counterexample{Formula: f, History: env.H, Comp: c}
-		}
-		return nil
+		return HoldsAtFull(f, c)
 	}
 }
 
@@ -225,15 +221,22 @@ func HoldsAtFull(f Formula, c *core.Computation) *Counterexample {
 	return nil
 }
 
+// holdsOnHistories checks an immediate formula at every history of the
+// lattice in one bitset evaluation (histeval.go) and reports the first
+// failing history in lattice order.
 func holdsOnHistories(f Formula, c *core.Computation) *Counterexample {
-	// The lattice is enumerated once per computation and shared across
-	// every restriction checked against it.
-	for _, h := range history.Shared(c).Histories() {
-		if !f.Eval(NewEnv(h)) {
-			return &Counterexample{Formula: f, History: h, Comp: c}
-		}
+	ev := newHistEval(c)
+	failing := ev.sat(f, &Env{C: c})
+	failing.FlipAll()
+	first := -1
+	failing.ForEach(func(i int) bool {
+		first = i
+		return false
+	})
+	if first < 0 {
+		return nil
 	}
-	return nil
+	return &Counterexample{Formula: f, History: ev.hs[first], Comp: c}
 }
 
 func holdsOnSequences(f Formula, c *core.Computation) *Counterexample {

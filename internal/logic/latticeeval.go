@@ -31,6 +31,13 @@ import (
 //	upper(f)[h] — f possibly holds at h in SOME complete sequence
 //	    through h (a sound over-approximation of "some")
 //
+// Immediate subformulas are the leaves of this calculus: their value at h
+// does not depend on the sequence, so lower = upper = the set of histories
+// where they hold, exactly. That set comes from histEval (histeval.go),
+// which computes it for all histories at once as bitset algebra over
+// per-event occurrence columns, binding each quantifier once per domain
+// element rather than once per history.
+//
 // Every formula shape has sound bound rules, so the evaluator covers the
 // full restriction language; alongside the bounds it tracks a per-node
 // exactness pair (lowExact, upExact) recording whether each bound is not
@@ -85,7 +92,7 @@ import (
 //
 // The □/◇ reachability and fixpoint passes run in one sweep over
 // Lattice.EvalOrder (decreasing history size), since every step successor
-// is a strict superset. Scratch bitsets are pooled on the evaluator (the
+// is a strict superset. Scratch bitsets are pooled on the histEval (the
 // delta-pool pattern of Sequence.Validate): every node returns its two
 // bitsets to the free list once the parent has folded them in, so an
 // evaluation allocates O(formula depth) bitsets, not O(formula size).
@@ -320,23 +327,22 @@ func latticeDecide(ctx context.Context, f Formula, c *core.Computation) (*Counte
 }
 
 // latticeEval evaluates subformulas to per-history satisfaction bitsets.
+// Immediate subformulas go to the embedded histEval, whose scratch pool
+// the temporal rules share.
 type latticeEval struct {
-	c     *core.Computation
-	hs    []history.History
+	histEval
 	steps [][]int32
 	order []int32
-	empty int            // lattice index of the empty history
-	free  []order.Bitset // scratch pool, sized len(hs) each
+	empty int // lattice index of the empty history
 }
 
 func newLatticeEval(c *core.Computation) *latticeEval {
 	lat := history.Shared(c)
 	ev := &latticeEval{
-		c:     c,
-		hs:    lat.Histories(),
-		steps: lat.Steps(),
-		order: lat.EvalOrder(),
-		empty: -1,
+		histEval: newHistEval(c),
+		steps:    lat.Steps(),
+		order:    lat.EvalOrder(),
+		empty:    -1,
 	}
 	for i, h := range ev.hs {
 		if h.Len() == 0 {
@@ -352,21 +358,6 @@ func newLatticeEval(c *core.Computation) *latticeEval {
 	return ev
 }
 
-// get hands out an empty scratch bitset, reusing a pooled one when
-// available. Evaluation is single-goroutine per call, so no locking.
-func (ev *latticeEval) get() order.Bitset {
-	if n := len(ev.free); n > 0 {
-		b := ev.free[n-1]
-		ev.free = ev.free[:n-1]
-		b.Reset()
-		return b
-	}
-	return order.NewBitset(len(ev.hs))
-}
-
-// put returns scratch bitsets to the pool.
-func (ev *latticeEval) put(bs ...order.Bitset) { ev.free = append(ev.free, bs...) }
-
 // release returns a consumed child result's bitsets to the pool.
 func (ev *latticeEval) release(a approx) { ev.put(a.low, a.up) }
 
@@ -376,7 +367,7 @@ func (ev *latticeEval) release(a approx) { ev.put(a.low, a.up) }
 // result).
 func (ev *latticeEval) eval(f Formula, env *Env) approx {
 	if immediate(f) {
-		low := ev.pointwise(f, env)
+		low := ev.sat(f, env)
 		up := ev.get()
 		up.CopyFrom(low)
 		return approx{low: low, up: up, lowExact: true, upExact: true}
@@ -539,9 +530,9 @@ func quantEnvs(env *Env, f Formula) (Formula, []*Env) {
 }
 
 // evalQuant folds a quantifier's bound bodies like a junction. The body
-// is sequence-dependent here (immediate quantified formulas are handled
-// pointwise), so the inexact direction becomes exact only for domains of
-// at most one binding.
+// is sequence-dependent here (an immediate quantified formula goes to
+// histEval whole), so the inexact direction becomes exact only for
+// domains of at most one binding.
 func (ev *latticeEval) evalQuant(body Formula, envs []*Env, conj bool) approx {
 	low, up := ev.get(), ev.get()
 	if conj {
@@ -650,29 +641,6 @@ func (ev *latticeEval) evalAtMostOne(body Formula, envs []*Env) approx {
 		ev.release(a)
 	}
 	return approx{low: low, up: twice}
-}
-
-// pointwise evaluates an immediate formula at every lattice history.
-// Purely structural formulas have one verdict for the whole computation,
-// so they are evaluated once.
-func (ev *latticeEval) pointwise(f Formula, env *Env) order.Bitset {
-	out := ev.get()
-	saveH := env.H
-	defer func() { env.H = saveH }()
-	if !HasHistoryPredicate(f) {
-		env.H = ev.hs[0]
-		if f.Eval(env) {
-			out.Fill()
-		}
-		return out
-	}
-	for i, h := range ev.hs {
-		env.H = h
-		if f.Eval(env) {
-			out.Set(i)
-		}
-	}
-	return out
 }
 
 // allSuccessors computes AG: the histories all of whose supersets

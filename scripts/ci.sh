@@ -138,6 +138,16 @@ go build -o "$tracedir/gemmut" ./cmd/gemmut
 "$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache off >"$tracedir/mut.j4.out"
 cmp "$tracedir/mut.j1.out" "$tracedir/mut.j4.out"
 grep -q 'findings: none' "$tracedir/mut.j1.out"
+echo "==> larger mutation campaign gate: 2000 mutants, zero findings"
+# Every mutant is checked by all three engines. On temporal restrictions
+# the lattice engine reads its immediate leaves from the bitset evaluator
+# (internal/logic/histeval.go) while the seq engine evaluates them with
+# Formula.Eval's per-history tree walk, so the engines' agreement checks
+# one against the other. □-invariants go to the bitset evaluator under
+# every engine; there every reported witness is re-checked with
+# Formula.Eval (Counterexample.Verify).
+"$tracedir/gemmut" -n 2000 -seed 11 -j 2 -cache off >"$tracedir/mut2000.out"
+grep -q 'findings: none' "$tracedir/mut2000.out"
 echo "==> mutation corpus smoke: persisted campaign replays with engine agreement"
 "$tracedir/gemmut" -n 250 -seed 7 -j 4 -cache rw -cache-dir "$tracedir/mutcache" >/dev/null
 "$tracedir/gemmut" -replay gemmut -cache rw -cache-dir "$tracedir/mutcache" | grep -q 'engines agree on all'
