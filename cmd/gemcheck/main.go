@@ -7,13 +7,8 @@
 //	gemcheck distributed — dbupdate convergence and Life equivalence (E8)
 //
 // The -j flag (default NumCPU) sets the checking parallelism for the rw
-// matrix; -j1 reproduces the sequential engine exactly. The -engine flag
-// selects the temporal evaluation engine (auto and lattice use the
-// lattice fixpoint engine with lattice-native counterexamples, falling
-// back to sequence enumeration only on inconclusive bounds; seq is the
-// enumeration oracle — all report identical verdicts),
-// and -cpuprofile/-memprofile write pprof
-// profiles for performance work. -trace writes a Chrome trace-event
+// matrix; -j1 reproduces the sequential engine exactly.
+// -cpuprofile/-memprofile write pprof profiles for performance work. -trace writes a Chrome trace-event
 // JSON file (load in chrome://tracing or Perfetto) and -stats prints
 // span/counter statistics to stderr. -cache (off, ro or rw; default rw)
 // and -cache-dir control the persistent result store used by the rw
@@ -54,12 +49,12 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gemcheck", flag.ContinueOnError)
-	pf := profiling.Register(fs, profiling.Jobs|profiling.Engine|profiling.Profile|profiling.Cache)
+	pf := profiling.Register(fs, profiling.Jobs|profiling.Profile|profiling.Cache)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: gemcheck [-j N] [-engine E] {access|histories|rw|distributed}")
+		return fmt.Errorf("usage: gemcheck [-j N] {access|histories|rw|distributed}")
 	}
 	ctx, stop, err := pf.Start()
 	if err != nil {
@@ -76,7 +71,7 @@ func run(args []string) (err error) {
 		if serr != nil {
 			return serr
 		}
-		err = rwMatrix(ctx, pf.Jobs, pf.Engine, cache)
+		err = rwMatrix(ctx, pf.Jobs, cache)
 	case "distributed":
 		err = distributed()
 	default:
@@ -173,7 +168,7 @@ func histories() error {
 // the caller reports the interruption. cache, when non-nil, serves
 // property verdicts from the persistent store; the table is identical
 // either way.
-func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.VerdictCache) error {
+func rwMatrix(ctx context.Context, j int, cache logic.VerdictCache) error {
 	// Pre-flight: the Readers/Writers problem specification itself must
 	// be statically well-formed before any variant is explored.
 	if s, err := rw.ProblemSpec([]string{"r1", "r2", "w1"}, true); err != nil {
@@ -186,7 +181,7 @@ func rwMatrix(ctx context.Context, j int, engine logic.Engine, cache logic.Verdi
 	// spans in legal.Check.
 	holds := func(name string, f logic.Formula, comp *core.Computation) bool {
 		pctx, sp := obs.StartSpan(ctx, name)
-		cx := logic.Holds(f, comp, logic.CheckOptions{Engine: engine, Ctx: pctx, Cache: cache})
+		cx := logic.Holds(f, comp, logic.CheckOptions{Ctx: pctx, Cache: cache})
 		sp.End()
 		return cx == nil
 	}

@@ -34,23 +34,6 @@ func TestChecks(t *testing.T) {
 	}
 }
 
-// TestEngineFlagRoundTrip: every engine name the flag documents is
-// accepted and runs the rw matrix to the same successful completion;
-// unknown names are rejected at flag-handling time, before any work.
-func TestEngineFlagRoundTrip(t *testing.T) {
-	for _, engine := range []string{"auto", "lattice", "seq"} {
-		engine := engine
-		t.Run(engine, func(t *testing.T) {
-			if err := run([]string{"-engine", engine, "-j", "1", "rw"}); err != nil {
-				t.Fatalf("gemcheck -engine %s rw: %v", engine, err)
-			}
-		})
-	}
-	if err := run([]string{"-engine", "warp", "rw"}); err == nil {
-		t.Error("unknown engine name must be rejected")
-	}
-}
-
 // TestProfileFlags: -cpuprofile and -memprofile produce non-empty pprof
 // files, and an unwritable profile path fails the run.
 func TestProfileFlags(t *testing.T) {

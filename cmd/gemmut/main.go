@@ -2,9 +2,9 @@
 // computation seeds: generate N deterministic mutants (drop a
 // restriction, negate or weaken a formula node, widen a port, permute
 // prerequisites, perturb the enable relation), check every unique mutant
-// under the auto, lattice, and seq engines, delta-debug each failure to
-// a 1-minimal counterexample, and persist the shrunk corpus through the
-// result store.
+// under the production engine (auto) and the seq oracle, delta-debug
+// each failure to a 1-minimal counterexample, and persist the shrunk
+// corpus through the result store.
 //
 //	gemmut                       — 2000 mutants, seed 0
 //	gemmut -n 500 -seed 7 -j 4   — fixed-seed campaign on 4 workers

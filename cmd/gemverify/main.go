@@ -10,18 +10,12 @@
 // reports the same verdicts, run counts and first-failure computation
 // indices.
 //
-// The -engine flag selects the temporal evaluation engine: auto (the
-// default) evaluates every temporal restriction with the lattice
-// fixpoint engine — which now covers the full restriction language and
-// extracts its own counterexamples from the history lattice — and falls
-// back to sequence enumeration only when the engine's bounds are
-// inconclusive; lattice forces the fixpoint engine (same fallback rule,
-// with fallbacks observable on the engine.lattice.fallback -stats
-// counter); seq is the historical sequence engine, kept as the
-// agreement-test oracle. All engines report the same verdicts; witness
-// shapes may differ, but every counterexample is a genuine failing
-// history. -cpuprofile and -memprofile write pprof profiles for
-// performance work; -trace writes a Chrome trace-event JSON file (load
+// Temporal restrictions are decided over each computation's history
+// lattice: □-invariants in one bitset pass over all histories, the rest
+// by the lattice fixpoint engine, which extracts its own counterexamples
+// and falls back to sequence enumeration only when its bounds are
+// inconclusive (the engine.lattice.fallback -stats counter).
+// -cpuprofile and -memprofile write pprof profiles for performance work; -trace writes a Chrome trace-event JSON file (load
 // in chrome://tracing or Perfetto) and -stats prints span/counter
 // statistics to stderr.
 //
@@ -63,7 +57,7 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gemverify", flag.ContinueOnError)
-	pf := profiling.Register(fs, profiling.Jobs|profiling.Engine|profiling.Profile|profiling.Cache)
+	pf := profiling.Register(fs, profiling.Jobs|profiling.Profile|profiling.Cache)
 	sarif := fs.String("sarif", "", "write the matrix outcome as SARIF to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,7 +72,7 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	opts := check.Options{Parallelism: pf.Jobs, Engine: pf.Engine, Ctx: ctx, Cache: cache}
+	opts := check.Options{Parallelism: pf.Jobs, Ctx: ctx, Cache: cache}
 	cells, merr := check.RunMatrixCells(os.Stdout, opts)
 	// The SARIF log is written even for a failing matrix — the failures
 	// are exactly what it exists to report.

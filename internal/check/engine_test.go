@@ -6,22 +6,25 @@ import (
 	"strings"
 	"testing"
 
+	"gem/internal/core"
 	"gem/internal/logic"
 	"gem/internal/verify"
 )
 
-// Spec-level counter-verification of the lattice fixpoint engine: every
+// Spec-level counter-verification of the production engine: every
 // shipped problem specification, checked over its exhaustively explored
 // solutions and over the failing mutants, must report identical verdicts
-// under the sequence and lattice engines, and every engine's
-// counterexample must independently falsify its restriction. Witness
-// identity is NOT required: the lattice engine extracts its own failing
-// sequence from the history lattice, while seq reports the first one in
-// enumeration order.
+// under auto and the seq oracle, and every counterexample must
+// independently falsify its restriction. Witness identity is NOT
+// required: the lattice engine extracts its own failing sequence from
+// the history lattice, while seq reports the first one in enumeration
+// order.
 
-// TestMatrixEngineAgreement runs all nine matrix cells under the seq,
-// lattice and auto engines and requires the same verdict and run count
-// from each.
+// engines are the production engine and the oracle.
+var engines = []logic.Engine{logic.EngineSeq, logic.EngineAuto}
+
+// TestMatrixEngineAgreement explores each of the nine matrix cells once
+// and sat-checks its runs under seq and auto, requiring a pass from each.
 func TestMatrixEngineAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive matrix cells are slow; skipped in -short mode")
@@ -29,17 +32,21 @@ func TestMatrixEngineAgreement(t *testing.T) {
 	for _, s := range Matrix() {
 		s := s
 		t.Run(s.Problem+"/"+string(s.Language), func(t *testing.T) {
-			seq := s.Run(Options{Parallelism: 1, Engine: logic.EngineSeq})
-			if !seq.Verified {
-				t.Fatalf("cell unexpectedly failing under seq engine: %v", seq.Err)
+			problem, corr, err := s.Setup()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, engine := range []logic.Engine{logic.EngineLattice, logic.EngineAuto} {
-				cell := s.Run(Options{Parallelism: 1, Engine: engine})
-				if cell.Verified != seq.Verified {
-					t.Errorf("engine %s verdict %v, seq %v (%v)", engine, cell.Verified, seq.Verified, cell.Err)
-				}
-				if cell.Runs != seq.Runs {
-					t.Errorf("engine %s checked %d runs, seq %d", engine, cell.Runs, seq.Runs)
+			var comps []*core.Computation
+			truncated, err := s.Stream(func(c *core.Computation) bool {
+				comps = append(comps, c)
+				return true
+			})
+			if err != nil || truncated {
+				t.Fatalf("exploration: truncated=%v err=%v", truncated, err)
+			}
+			for _, engine := range engines {
+				if idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: engine}); idx >= 0 {
+					t.Errorf("engine %s fails computation %d of %d: %v", engine, idx, len(comps), res.Error())
 				}
 			}
 		})
@@ -65,7 +72,7 @@ func TestRefutationEngineAgreement(t *testing.T) {
 			if seqIdx < 0 {
 				t.Fatal("mutant not refuted under seq engine")
 			}
-			for _, engine := range []logic.Engine{logic.EngineSeq, logic.EngineLattice, logic.EngineAuto} {
+			for _, engine := range engines {
 				idx, res := verify.CheckAll(problem, comps, corr, logic.CheckOptions{Engine: engine})
 				if idx != seqIdx {
 					t.Fatalf("engine %s refutes at index %d, seq at %d", engine, idx, seqIdx)

@@ -34,10 +34,6 @@ type Options struct {
 	// time). Verdicts, run counts and first-failure indices are
 	// identical at every value.
 	Parallelism int
-	// Engine selects the temporal evaluation engine (auto, lattice or
-	// seq) for every sat check. All engines report the same verdicts
-	// and counterexamples; the zero value is logic.EngineAuto.
-	Engine logic.Engine
 	// Ctx carries cancellation (and the span context) into exploration
 	// and checking: a cancelled context stops the simulator and the
 	// check workers promptly, and the scenario reports an interrupted
@@ -121,7 +117,7 @@ func (s Scenario) Run(opts ...Options) Cell {
 		return Cell{Scenario: s, Err: err, Elapsed: time.Since(start)}
 	}
 	idx, res := verify.CheckAll(problem, comps, corr,
-		logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: ctx, Cache: opt.Cache})
+		logic.CheckOptions{Parallelism: opt.Parallelism, Ctx: ctx, Cache: opt.Cache})
 	cell := Cell{Scenario: s, Runs: len(comps), Elapsed: time.Since(start)}
 	switch {
 	case idx >= 0:
@@ -396,7 +392,7 @@ func RunRefutations(w io.Writer, opts ...Options) error {
 			continue
 		}
 		idx, _ := verify.CheckAll(problem, comps, corr,
-			logic.CheckOptions{Parallelism: opt.Parallelism, Engine: opt.Engine, Ctx: opt.Ctx, Cache: opt.Cache})
+			logic.CheckOptions{Parallelism: opt.Parallelism, Ctx: opt.Ctx, Cache: opt.Cache})
 		if idx < 0 {
 			fmt.Fprintf(w, "%-55s NOT refuted (%d computations) — matrix broken\n", r.Name, len(comps))
 			if firstErr == nil {

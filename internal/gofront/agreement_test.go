@@ -11,9 +11,8 @@ import (
 )
 
 var engines = map[string]logic.Engine{
-	"auto":    logic.EngineAuto,
-	"lattice": logic.EngineLattice,
-	"seq":     logic.EngineSeq,
+	"auto": logic.EngineAuto,
+	"seq":  logic.EngineSeq,
 }
 
 // TestExtractedModelsLegalAllEngines: every extracted model — including

@@ -175,7 +175,7 @@ func TestRestrictionViolationWitnessVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []logic.Engine{logic.EngineAuto, logic.EngineSeq, logic.EngineLattice} {
+	for _, engine := range []logic.Engine{logic.EngineAuto, logic.EngineSeq} {
 		res := Check(s, c, Options{Check: logic.CheckOptions{Engine: engine}})
 		if res.Legal() {
 			t.Fatalf("engine %s misses the stale read", engine)

@@ -63,24 +63,15 @@ func randomComputation(t *testing.T, s *spec.Spec, rng *rand.Rand) *core.Computa
 }
 
 // checkVariantsAgree checks c against s with the default options and
-// with every option set that must not change a verdict: the sequence and
-// lattice temporal engines. Each must reproduce the default verdict and
+// with the seq oracle, which must reproduce the default verdict and
 // failing-restriction set. It returns the default result.
 func checkVariantsAgree(t *testing.T, name string, s *spec.Spec, c *core.Computation) legal.Result {
 	t.Helper()
 	plain := legal.Check(s, c, legal.Options{})
-	for _, v := range []struct {
-		name string
-		opts logic.CheckOptions
-	}{
-		{"seq", logic.CheckOptions{Engine: logic.EngineSeq}},
-		{"lattice", logic.CheckOptions{Engine: logic.EngineLattice}},
-	} {
-		got := legal.Check(s, c, legal.Options{Check: v.opts})
-		if plain.Legal() != got.Legal() || !reflect.DeepEqual(violationKeys(plain), violationKeys(got)) {
-			t.Fatalf("%s/%s: engine changed the violation set:\nplain: %v\ngot:   %v",
-				name, v.name, violationKeys(plain), violationKeys(got))
-		}
+	got := legal.Check(s, c, legal.Options{Check: logic.CheckOptions{Engine: logic.EngineSeq}})
+	if plain.Legal() != got.Legal() || !reflect.DeepEqual(violationKeys(plain), violationKeys(got)) {
+		t.Fatalf("%s/seq: engine changed the violation set:\nplain: %v\ngot:   %v",
+			name, violationKeys(plain), violationKeys(got))
 	}
 	return plain
 }

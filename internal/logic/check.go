@@ -32,11 +32,12 @@ func (cx *Counterexample) Error() string {
 // Verify re-checks the counterexample independently of the engine that
 // produced it: the formula must evaluate to false on the reported
 // witness (the sequence when present, the single history otherwise).
-// Witnesses differ across engines — the sequence and lattice engines
-// report complete valid history sequences, the invariant reduction a
-// single history, the pair reduction a two-history fragment — but all of
-// them must falsify the formula; the engine-agreement suites assert this
-// in place of witness identity.
+// Witness shapes differ by strategy — the lattice engine and sequence
+// enumeration report complete valid history sequences, invariants a
+// single history, the pair reduction a two-history fragment — so auto
+// and the seq oracle may report different witnesses for one formula,
+// but all of them must falsify it; the engine-agreement suites assert
+// this in place of witness identity.
 func (cx *Counterexample) Verify() error {
 	if cx == nil {
 		return nil
@@ -60,12 +61,12 @@ type CheckOptions struct {
 	// parallel runs report the same verdicts and the same first
 	// (lowest-index) counterexample.
 	Parallelism int
-	// Engine selects the temporal evaluation strategy (auto, lattice or
-	// seq). Every engine reports the same verdicts; counterexamples are
-	// always genuine falsifying witnesses (Counterexample.Verify) but may
-	// differ in shape across engines — the lattice engine extracts its
-	// own violating sequence instead of re-running the sequence cascade.
-	// The zero value is EngineAuto.
+	// Engine selects the evaluation strategy: EngineAuto (the zero
+	// value) or the EngineSeq oracle. Both report the same verdicts;
+	// counterexamples are always genuine falsifying witnesses
+	// (Counterexample.Verify) but may differ in shape — the lattice
+	// engine extracts its own violating sequence where the oracle
+	// enumerates history pairs or sequences.
 	Engine Engine
 	// Ctx carries cancellation and the observability span context
 	// through the engines: the FirstFailure pool polls it and stops
@@ -126,38 +127,22 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 	}
 	switch {
 	case HasTemporal(f):
-		// The lattice fixpoint engine (latticeeval.go) bounds every
-		// temporal formula over the history lattice instead of the
-		// exponentially larger sequence set, decides most of them (pass
-		// and fail alike, extracting its own violating sequence on
-		// failure), and reports "inconclusive" for the rest.
-		// A forced EngineLattice routes every temporal formula through
-		// the fixpoint evaluator first; only an inconclusive outcome
-		// (observable as the engine.lattice.fallback counter) delegates
-		// to the sequence strategies.
-		if opts.Engine == EngineLattice {
-			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
-				return cx
-			}
-			seq := opts
-			seq.Engine = EngineSeq
-			return Holds(f, c, seq)
-		}
 		// □p for immediate p is an invariant: it holds on every valid
 		// history sequence iff p holds at every history (every history
 		// occurs in some complete sequence, and every sequence member is
 		// a history). Deciding it over histories avoids enumerating the
 		// exponentially larger sequence set, exactly — and avoids the
-		// lattice engine's step-DAG bitsets, so auto keeps it first.
+		// lattice engine's step-DAG bitsets, so it comes first.
 		if box, ok := f.(Box); ok && !HasTemporal(box.F) {
-			_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
-			cx := holdsOnHistories(box.F, c)
-			sp.End()
-			return cx
+			return holdsAtEveryHistory(box.F, c, opts)
 		}
-		// EngineAuto: a decided lattice run (either verdict) settles the
-		// check; only inconclusive bounds fall through to the strategies
-		// below.
+		// The lattice fixpoint engine (latticeeval.go) bounds every
+		// temporal formula over the history lattice instead of the
+		// exponentially larger sequence set, decides most of them (pass
+		// and fail alike, extracting its own violating sequence on
+		// failure), and reports "inconclusive" for the rest: only those
+		// fall through to the strategies below, which are all the seq
+		// oracle uses.
 		if opts.Engine != EngineSeq {
 			if cx, decided := latticeAttempt(opts.Ctx, f, c); decided {
 				return cx
@@ -180,13 +165,24 @@ func Holds(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
 		sp.End()
 		return cx
 	case HasHistoryPredicate(f):
-		_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
-		cx := holdsOnHistories(f, c)
-		sp.End()
-		return cx
+		return holdsAtEveryHistory(f, c, opts)
 	default:
 		return HoldsAtFull(f, c)
 	}
+}
+
+// holdsAtEveryHistory decides an invariant, an immediate formula that
+// must hold at every history, under the engine.histories span. auto
+// evaluates the whole lattice at once (holdsOnHistories); the seq oracle
+// calls Formula.Eval at each history (evalOnHistories). Both report the
+// first failing history in lattice order.
+func holdsAtEveryHistory(f Formula, c *core.Computation, opts CheckOptions) *Counterexample {
+	_, sp := obs.StartSpan(opts.Ctx, "engine.histories")
+	defer sp.End()
+	if opts.Engine == EngineSeq {
+		return evalOnHistories(f, c)
+	}
+	return holdsOnHistories(f, c)
 }
 
 // latticeAttempt runs the lattice fixpoint engine under an engine-stage
@@ -237,6 +233,17 @@ func holdsOnHistories(f Formula, c *core.Computation) *Counterexample {
 		return nil
 	}
 	return &Counterexample{Formula: f, History: ev.hs[first], Comp: c}
+}
+
+// evalOnHistories is holdsOnHistories without the bitset evaluator: one
+// Formula.Eval per history, in lattice order.
+func evalOnHistories(f Formula, c *core.Computation) *Counterexample {
+	for _, h := range history.Shared(c).Histories() {
+		if !f.Eval(NewEnv(h)) {
+			return &Counterexample{Formula: f, History: h, Comp: c}
+		}
+	}
+	return nil
 }
 
 func holdsOnSequences(f Formula, c *core.Computation) *Counterexample {

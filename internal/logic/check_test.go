@@ -311,4 +311,16 @@ func TestEnvBindings(t *testing.T) {
 	if id, ok := env2.Lookup("x"); !ok || id != ids[0] {
 		t.Error("Lookup failed")
 	}
+	// A nested quantifier may reuse a name: the inner binding shadows
+	// the outer one, which stays visible to the outer environment.
+	env3 := env2.bind("x", ids[1])
+	if id, _ := env3.Lookup("x"); id != ids[1] {
+		t.Error("inner binding must shadow the outer one")
+	}
+	if id, _ := env2.Lookup("x"); id != ids[0] {
+		t.Error("shadowing must not change the outer environment")
+	}
+	if got, want := env3.Bindings(), "t=pi#1, x="+c.Event(ids[1]).Name(); got != want {
+		t.Errorf("Bindings with a shadowed name = %q, want %q", got, want)
+	}
 }

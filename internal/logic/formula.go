@@ -25,8 +25,28 @@ type Env struct {
 	Seq  history.Sequence // nil when evaluating outside a sequence
 	Idx  int              // position within Seq
 	H    history.History  // current history
-	vars map[string]core.EventID
-	tids map[string]string // thread-variable bindings
+	vars *binding[core.EventID]
+	tids *binding[string] // thread-variable bindings
+}
+
+// binding is one link of an environment's bindings, innermost first. A
+// child environment shares its parent's chain, so binding a variable
+// allocates one link instead of copying every enclosing binding.
+type binding[T any] struct {
+	name string
+	val  T
+	next *binding[T]
+}
+
+// lookup returns the innermost binding of name.
+func (b *binding[T]) lookup(name string) (T, bool) {
+	for ; b != nil; b = b.next {
+		if b.name == name {
+			return b.val, true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // NewEnv returns an environment for evaluating immediate assertions at
@@ -42,29 +62,20 @@ func NewSeqEnv(s history.Sequence, idx int) *Env {
 
 // Lookup returns the event bound to an event variable.
 func (e *Env) Lookup(name string) (core.EventID, bool) {
-	id, ok := e.vars[name]
-	return id, ok
+	return e.vars.lookup(name)
 }
 
 // bind returns a child environment with an additional event binding.
 func (e *Env) bind(name string, id core.EventID) *Env {
 	child := *e
-	child.vars = make(map[string]core.EventID, len(e.vars)+1)
-	for k, v := range e.vars {
-		child.vars[k] = v
-	}
-	child.vars[name] = id
+	child.vars = &binding[core.EventID]{name, id, e.vars}
 	return &child
 }
 
 // bindThread returns a child environment with an additional thread binding.
 func (e *Env) bindThread(name, tid string) *Env {
 	child := *e
-	child.tids = make(map[string]string, len(e.tids)+1)
-	for k, v := range e.tids {
-		child.tids[k] = v
-	}
-	child.tids[name] = tid
+	child.tids = &binding[string]{name, tid, e.tids}
 	return &child
 }
 
@@ -78,15 +89,20 @@ func (e *Env) at(idx int) *Env {
 
 // Bindings renders the current variable bindings for diagnostics.
 func (e *Env) Bindings() string {
-	if len(e.vars) == 0 && len(e.tids) == 0 {
-		return ""
-	}
 	var parts []string
-	for k, v := range e.vars {
-		parts = append(parts, fmt.Sprintf("%s=%s", k, e.C.Event(v).Name()))
+	seen := map[string]bool{}
+	for b := e.vars; b != nil; b = b.next {
+		if !seen[b.name] {
+			seen[b.name] = true
+			parts = append(parts, fmt.Sprintf("%s=%s", b.name, e.C.Event(b.val).Name()))
+		}
 	}
-	for k, v := range e.tids {
-		parts = append(parts, fmt.Sprintf("%s=%s", k, v))
+	seen = map[string]bool{}
+	for b := e.tids; b != nil; b = b.next {
+		if !seen[b.name] {
+			seen[b.name] = true
+			parts = append(parts, fmt.Sprintf("%s=%s", b.name, b.val))
+		}
 	}
 	sortStrings(parts)
 	return strings.Join(parts, ", ")
@@ -101,7 +117,7 @@ type Formula interface {
 // mustEvent resolves an event variable, panicking on unbound names — an
 // unbound variable is a bug in the restriction, not a runtime condition.
 func mustEvent(env *Env, name string) core.EventID {
-	id, ok := env.vars[name]
+	id, ok := env.vars.lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("logic: unbound event variable %q", name))
 	}
@@ -109,7 +125,7 @@ func mustEvent(env *Env, name string) core.EventID {
 }
 
 func mustThread(env *Env, name string) string {
-	tid, ok := env.tids[name]
+	tid, ok := env.tids.lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("logic: unbound thread variable %q", name))
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gem/internal/core"
-	"gem/internal/history"
 )
 
 // immGen draws random immediate formulas over the whole immediate
@@ -240,29 +239,22 @@ func TestHistEvalMatchesEval(t *testing.T) {
 }
 
 // TestHoldsOnHistoriesReportsFirstFailure pins the □-invariant's witness:
-// the lowest-index failing history of the lattice, as the per-history
-// loop found it.
+// the lowest-index failing history of the lattice, as the seq oracle's
+// per-history loop finds it.
 func TestHoldsOnHistoriesReportsFirstFailure(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := threadedComp(rng, 6)
 		f := (&immGen{rng: rng}).formula(3)
-		var want *history.History
-		for _, h := range history.Shared(c).Histories() {
-			if !f.Eval(NewEnv(h)) {
-				h := h
-				want = &h
-				break
-			}
-		}
+		want := evalOnHistories(f, c)
 		cx := holdsOnHistories(f, c)
 		switch {
 		case want == nil && cx != nil:
 			t.Fatalf("seed %d: %s holds everywhere, got witness %s", seed, f, cx.History)
 		case want != nil && cx == nil:
-			t.Fatalf("seed %d: %s fails at %s, got no witness", seed, f, want)
-		case want != nil && !cx.History.Equal(*want):
-			t.Fatalf("seed %d: %s: witness %s, want first failure %s", seed, f, cx.History, want)
+			t.Fatalf("seed %d: %s fails at %s, got no witness", seed, f, want.History)
+		case want != nil && !cx.History.Equal(want.History):
+			t.Fatalf("seed %d: %s: witness %s, want first failure %s", seed, f, cx.History, want.History)
 		}
 	}
 }

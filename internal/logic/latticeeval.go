@@ -107,50 +107,23 @@ const (
 	// decide the formula (which they do for the entire language on the
 	// failure-by-upper side and for the exact fragment on both sides),
 	// then the history-pair reduction, then sequence enumeration. The
-	// default.
+	// default, and the only production engine.
 	EngineAuto Engine = iota
-	// EngineSeq forces the sequence-based strategies (invariant and pair
-	// reductions plus enumeration) — the engine's historical behavior,
-	// kept as the agreement-test oracle.
+	// EngineSeq is the oracle: it decides every formula without the
+	// bitset evaluators, by Formula.Eval at each history (invariants),
+	// each history pair (the pair reduction) or each complete sequence.
 	EngineSeq
-	// EngineLattice forces the lattice fixpoint evaluator for every
-	// temporal formula, including counterexample extraction on failure;
-	// it falls back to the sequence engine only when the bounds are
-	// inconclusive (recorded on the engine.lattice.fallback counter).
-	EngineLattice
 )
 
-// String implements flag.Value.
+// String names the engine in campaign reports and store keys.
 func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
 		return "auto"
 	case EngineSeq:
 		return "seq"
-	case EngineLattice:
-		return "lattice"
 	default:
 		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// Set implements flag.Value with ParseEngine.
-func (e *Engine) Set(s string) (err error) {
-	*e, err = ParseEngine(s)
-	return err
-}
-
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "seq":
-		return EngineSeq, nil
-	case "lattice":
-		return EngineLattice, nil
-	default:
-		return EngineAuto, fmt.Errorf("logic: unknown engine %q (want auto, lattice or seq)", s)
 	}
 }
 

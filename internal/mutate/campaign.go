@@ -19,17 +19,20 @@ import (
 // The campaign driver: generate N mutants deterministically, dedup on
 // (spec hash × computation fingerprint), fan the unique mutants out to
 // the logic.FirstFailure pool with per-mutant cancellation, check each
-// under all three engines, shrink every failure, and persist the shrunk
-// corpus.
+// under the production engine and the seq oracle, shrink every failure,
+// and persist the shrunk corpus.
 //
 // Engine agreement is the campaign's verification target: a mutant on
-// which auto, lattice, and seq disagree — different legality verdict,
-// different blamed restrictions, or a witness that fails Verify — is a
-// finding. Mutants that are merely illegal are the expected outcome and
+// which auto and seq disagree — different legality verdict, different
+// blamed restrictions, or a witness that fails Verify — is a finding.
+// seq decides every restriction with Formula.Eval over histories, history
+// pairs or complete sequences, never with the bitset evaluators auto
+// uses, so agreement checks the evaluator against an independent oracle. Mutants that are merely illegal are the expected outcome and
 // become corpus entries.
 
-// engines is the verdict matrix every mutant is checked under.
-var engines = []logic.Engine{logic.EngineAuto, logic.EngineLattice, logic.EngineSeq}
+// engines are the production engine and the oracle every mutant is
+// checked under.
+var engines = []logic.Engine{logic.EngineAuto, logic.EngineSeq}
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -423,8 +426,8 @@ func persistCorpus(cfg Config, rep *Report) {
 }
 
 // Replay loads the named campaign's corpus from the store and re-checks
-// every entry: the decoded computation must still be illegal under all
-// three engines, with the persisted (owner, restriction) among the
+// every entry: the decoded computation must still be illegal under auto
+// and the seq oracle, with the persisted (owner, restriction) among the
 // blamed set for restriction entries. It returns the number of entries
 // replayed; any divergence is an error — the corpus is a regression
 // suite for engine agreement.

@@ -54,7 +54,7 @@ func TestCampaignFindingOrder(t *testing.T) {
 		{Legal: true},
 		{findings: []Finding{
 			witness(1, logic.EngineSeq),
-			witness(1, logic.EngineLattice),
+			witness(1, logic.EngineAuto),
 			{Index: 1, Kind: "engine-disagreement", Detail: "auto=legal"},
 		}},
 		{findings: []Finding{witness(2, logic.EngineAuto)}},
@@ -66,7 +66,7 @@ func TestCampaignFindingOrder(t *testing.T) {
 	}
 	want := []string{
 		"1 bad-witness engine seq",
-		"1 bad-witness engine lattice",
+		"1 bad-witness engine auto",
 		"1 engine-disagreement auto=legal",
 		"2 bad-witness engine auto",
 	}

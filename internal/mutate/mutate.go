@@ -9,8 +9,10 @@
 // logic.Counterexample.Verify.
 //
 // Mutation grows the engine-agreement corpus: every mutant is checked
-// under the auto, lattice, and seq engines, and any verdict or blame
-// disagreement is a campaign finding — the same campaign-at-scale shape
+// under the production engine (auto) and the seq oracle, which decides
+// every restriction with Formula.Eval and never with the bitset
+// evaluators, and any verdict or blame disagreement is a campaign
+// finding — the same campaign-at-scale shape
 // the cat/herd tooling uses against memory models. Mutants that are
 // merely illegal (the expected outcome for most operators) are corpus
 // entries, not findings.

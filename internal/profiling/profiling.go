@@ -1,5 +1,5 @@
 // Package profiling holds what the gem commands share around a run: the
-// -j, -engine, -cache, -cache-dir, -cpuprofile, -memprofile, -trace and
+// -j, -cache, -cache-dir, -cpuprofile, -memprofile, -trace and
 // -stats flags, and the set-up behind them — obs collection and its
 // flush, the pprof profiles (file creation, start/stop ordering, a GC
 // before the heap snapshot), the result store and a context that SIGINT
@@ -28,7 +28,6 @@ type Group int
 // The flag groups.
 const (
 	Jobs    Group = 1 << iota // -j
-	Engine                    // -engine
 	Profile                   // -cpuprofile, -memprofile
 	Cache                     // -cache, -cache-dir
 )
@@ -36,7 +35,6 @@ const (
 // Flags holds the parsed values of the shared flags.
 type Flags struct {
 	Jobs                   int
-	Engine                 logic.Engine
 	trace                  string
 	stats                  bool
 	cpuProfile, memProfile string
@@ -50,9 +48,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 	fs.BoolVar(&f.stats, "stats", false, "print span and counter statistics to stderr on exit")
 	if groups&Jobs != 0 {
 		fs.IntVar(&f.Jobs, "j", runtime.NumCPU(), "parallelism (1 = sequential)")
-	}
-	if groups&Engine != 0 {
-		fs.Var(&f.Engine, "engine", "temporal evaluation engine `name`: auto (the default), lattice or seq")
 	}
 	if groups&Profile != 0 {
 		fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")

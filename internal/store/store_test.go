@@ -346,7 +346,7 @@ func TestLatticePersistAndHydrate(t *testing.T) {
 	f := logic.Box{F: logic.ForAll{Var: "e", Ref: core.Ref("", "X"), Body: logic.Occurred{Var: "e"}}}
 	// Evaluate through the cache: the miss path probes (no artifact yet),
 	// the evaluation enumerates, the write-behind persists.
-	logic.Holds(f, c1, logic.CheckOptions{Cache: s, Engine: logic.EngineLattice})
+	logic.Holds(f, c1, logic.CheckOptions{Cache: s})
 	if !history.Shared(c1).Enumerated() {
 		t.Skip("engine did not enumerate the lattice for this formula")
 	}
@@ -361,7 +361,7 @@ func TestLatticePersistAndHydrate(t *testing.T) {
 	f2 := logic.Diamond{F: logic.ForAll{Var: "e", Ref: core.Ref("", "Y"), Body: logic.Occurred{Var: "e"}}}
 	want := cxString(logic.Holds(f2, mk(), logic.CheckOptions{}))
 	builds := history.LatticeBuilds()
-	got := cxString(logic.Holds(f2, c2, logic.CheckOptions{Cache: s2, Engine: logic.EngineLattice}))
+	got := cxString(logic.Holds(f2, c2, logic.CheckOptions{Cache: s2}))
 	if got != want {
 		t.Fatalf("hydrated-lattice verdict differs: want %s, got %s", want, got)
 	}

@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+echo "==> gofmt -l cmd internal *.go"
+unformatted="$(gofmt -l cmd internal ./*.go)"
+if [ -n "$unformatted" ]; then
+	echo "==> FAIL: files need gofmt:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck ./..."
 	staticcheck ./...
@@ -76,24 +83,11 @@ cmp "$tracedir/race.j1.out" "$tracedir/race.j4.out"
 grep -q 'GEM018' "$tracedir/race.j1.out"
 grep -q 'GEM019' "$tracedir/race.j1.out"
 grep -q 'GEM020' "$tracedir/race.j1.out"
-echo "==> lattice engine gate: full matrix under forced -engine lattice, no silent seq fallback"
-# -cache off keeps this gate hermetic: a warm store would serve the
-# verdicts from disk and the engine.lattice spans below would vanish.
-go run ./cmd/gemverify -engine lattice -j 2 -cache off -stats >/dev/null 2>"$tracedir/verify.stats"
-# The lattice engine must actually carry the temporal restrictions...
-grep -q 'engine\.lattice ' "$tracedir/verify.stats"
-# ...and never hit an inconclusive bound: a fallback counter in the
-# stats means some check silently delegated to sequence enumeration.
-if grep -q 'engine\.lattice\.fallback' "$tracedir/verify.stats"; then
-	echo "==> FAIL: lattice engine silently fell back to seq on a shipped spec" >&2
-	grep 'engine\.lattice\.fallback' "$tracedir/verify.stats" >&2
-	exit 1
-fi
 echo "==> incremental store smoke: warm repeat hits, identical verdicts and SARIF"
 cachedir="$tracedir/cache"
-go run ./cmd/gemverify -engine lattice -j 2 -cache rw -cache-dir "$cachedir" \
+go run ./cmd/gemverify -j 2 -cache rw -cache-dir "$cachedir" \
 	-sarif "$tracedir/cold.sarif" -stats >"$tracedir/cold.out" 2>"$tracedir/cold.stats"
-go run ./cmd/gemverify -engine lattice -j 2 -cache rw -cache-dir "$cachedir" \
+go run ./cmd/gemverify -j 2 -cache rw -cache-dir "$cachedir" \
 	-sarif "$tracedir/warm.sarif" -stats >"$tracedir/warm.out" 2>"$tracedir/warm.stats"
 # The warm run must actually be served from the store...
 grep -Eq 'store\.hit +[1-9]' "$tracedir/warm.stats"
@@ -116,15 +110,27 @@ go build -o "$tracedir/gemcheck" ./cmd/gemcheck
 "$tracedir/gemcheck" -j 1 -cache off rw >"$tracedir/rw.j1.out"
 "$tracedir/gemcheck" -j 4 -cache off rw >"$tracedir/rw.j4.out"
 cmp "$tracedir/rw.j1.out" "$tracedir/rw.j4.out"
-echo "==> explorer reduction gate: the matrix walks each computation once"
+echo "==> explorer reduction and lattice engine gate over one -stats run of the matrix"
+# -cache off keeps this gate hermetic: a warm store would serve the
+# verdicts from disk and the spans below would vanish.
+"$tracedir/gemverify" -j 1 -cache off -stats >/dev/null 2>"$tracedir/verify.stats"
 # Sleep sets must reach each of the matrix's 217 computations at exactly
 # one terminal state: a duplicate means an interleaving slipped through,
 # a missing leaf means a computation was pruned.
-"$tracedir/gemverify" -j 1 -cache off -stats >/dev/null 2>"$tracedir/explore.stats"
-dup="$(awk '$1 == "explore.dup" {print $2}' "$tracedir/explore.stats")"
-leaves="$(awk '$1 == "explore.leaves" {print $2}' "$tracedir/explore.stats")"
+dup="$(awk '$1 == "explore.dup" {print $2}' "$tracedir/verify.stats")"
+leaves="$(awk '$1 == "explore.leaves" {print $2}' "$tracedir/verify.stats")"
 if [ "$dup" != 0 ] || [ "$leaves" != 217 ]; then
 	echo "==> FAIL: explorer reached explore.leaves=$leaves explore.dup=$dup; want 217 and 0" >&2
+	exit 1
+fi
+# The lattice engine must actually carry the temporal restrictions that
+# are not □-invariants...
+grep -q 'engine\.lattice ' "$tracedir/verify.stats"
+# ...and never hit an inconclusive bound: a fallback counter in the
+# stats means some check silently delegated to sequence enumeration.
+if grep -q 'engine\.lattice\.fallback' "$tracedir/verify.stats"; then
+	echo "==> FAIL: lattice engine silently fell back to seq on a shipped spec" >&2
+	grep 'engine\.lattice\.fallback' "$tracedir/verify.stats" >&2
 	exit 1
 fi
 echo "==> mutation campaign gate: fixed seed, zero findings, -j1/-j4 byte-identical"
@@ -139,13 +145,14 @@ go build -o "$tracedir/gemmut" ./cmd/gemmut
 cmp "$tracedir/mut.j1.out" "$tracedir/mut.j4.out"
 grep -q 'findings: none' "$tracedir/mut.j1.out"
 echo "==> larger mutation campaign gate: 2000 mutants, zero findings"
-# Every mutant is checked by all three engines. On temporal restrictions
-# the lattice engine reads its immediate leaves from the bitset evaluator
-# (internal/logic/histeval.go) while the seq engine evaluates them with
-# Formula.Eval's per-history tree walk, so the engines' agreement checks
-# one against the other. □-invariants go to the bitset evaluator under
-# every engine; there every reported witness is re-checked with
-# Formula.Eval (Counterexample.Verify).
+# Every mutant is checked by the production engine (auto) and by the seq
+# oracle. auto decides invariants and the lattice engine's immediate
+# leaves with the bitset evaluator (internal/logic/histeval.go); seq
+# never uses it and evaluates every restriction with Formula.Eval, at
+# each history, history pair or complete sequence. Agreement on verdicts
+# and blamed restrictions therefore checks the evaluator against an
+# independent oracle, "holds" verdicts included, and every reported
+# witness is re-checked with Formula.Eval (Counterexample.Verify).
 "$tracedir/gemmut" -n 2000 -seed 11 -j 2 -cache off >"$tracedir/mut2000.out"
 grep -q 'findings: none' "$tracedir/mut2000.out"
 echo "==> mutation corpus smoke: persisted campaign replays with engine agreement"
